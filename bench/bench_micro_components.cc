@@ -165,7 +165,7 @@ void RunEngineThreeVariantBatch(benchmark::State& state,
       eng.Submit(std::move(request));
     }
     eng.WaitAll();
-    benchmark::DoNotOptimize(eng.metamodel_cache().fit_count());
+    benchmark::DoNotOptimize(eng.metamodel_cache().misses());
   }
 }
 

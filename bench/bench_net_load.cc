@@ -328,37 +328,34 @@ SaturationRun RunSaturation(const LoadFlags& flags, const std::string& address,
     threads.emplace_back([&, c] {
       SaturationRun local;
       net::NetClient client;
-      if (!client.Connect(address).ok() ||
-          !client.Hello("sat" + std::to_string(c)).ok()) {
-        return;
-      }
+      // A failed connect or a lost connection fails the request in hand
+      // and every one not yet sent; the books merge either way.
+      bool connected = client.Connect(address).ok() &&
+                       client.Hello("sat" + std::to_string(c)).ok();
       for (int r = 0; r < flags.sat_requests; ++r) {
         net::SubmitRequest request = specs.Cold(unique++);
         request.request_id = 7000000ull + static_cast<uint64_t>(c) * 10000ull +
                              static_cast<uint64_t>(r);
         bool done = false;
-        for (int attempt = 0; attempt < 50 && !done; ++attempt) {
+        for (int attempt = 0; attempt < 50 && connected && !done; ++attempt) {
           auto outcome = client.Submit(request);
-          if (!outcome.ok()) return;  // connection gone; drop the rest
+          if (!outcome.ok()) {
+            connected = false;
+            break;
+          }
           if (outcome->kind == net::SubmitOutcome::Kind::kShed) {
             local.shed++;
             std::this_thread::sleep_for(std::chrono::milliseconds(
                 std::min<uint32_t>(outcome->retry_after_ms, 10)));
             continue;
           }
-          if (outcome->kind != net::SubmitOutcome::Kind::kAdmitted) {
-            local.failed++;
-            break;
-          }
+          if (outcome->kind != net::SubmitOutcome::Kind::kAdmitted) break;
           auto reply = client.WaitResult(request.request_id);
-          if (!reply.ok() || reply->done.failed) {
-            local.failed++;
-            break;
-          }
+          if (!reply.ok() || reply->done.failed) break;
           local.completed++;
           done = true;
         }
-        if (!done) local.failed++;
+        if (!done) local.failed++;  // rejected, failed, retries spent or lost
       }
       std::lock_guard<std::mutex> lock(merge_mutex);
       run.completed += local.completed;
@@ -558,12 +555,14 @@ int Main(int argc, char** argv) {
               flags.queue_depth, flags.sat_clients);
   const SaturationRun one_x =
       RunSaturation(flags, sat_address, flags.sat_clients, 10000000ull);
-  std::printf("  1x: %.1f req/s, %llu shed\n", one_x.Throughput(),
-              static_cast<unsigned long long>(one_x.shed));
+  std::printf("  1x: %.1f req/s, %llu shed, %llu failed\n",
+              one_x.Throughput(), static_cast<unsigned long long>(one_x.shed),
+              static_cast<unsigned long long>(one_x.failed));
   const SaturationRun four_x =
       RunSaturation(flags, sat_address, flags.sat_clients * 4, 20000000ull);
-  std::printf("  4x: %.1f req/s, %llu shed\n", four_x.Throughput(),
-              static_cast<unsigned long long>(four_x.shed));
+  std::printf("  4x: %.1f req/s, %llu shed, %llu failed\n",
+              four_x.Throughput(), static_cast<unsigned long long>(four_x.shed),
+              static_cast<unsigned long long>(four_x.failed));
 
   // Checks.
   const bool warm_ok = probe.count > 0 && probe.p50 <= 10.0;

@@ -93,12 +93,13 @@ int main() {
   std::printf("\naggregated result store:\n");
   engine.results().SummaryTable("result store").Print();
 
-  const auto& cache = engine.metamodel_cache();
+  const engine::CacheTierStats cache = engine.metamodel_cache().stats();
   std::printf(
-      "\nmetamodel cache: %d fits, %d hits (%d REDS jobs -> "
-      "%d trained metamodels)\n",
-      cache.fit_count(), cache.hit_count(),
-      cache.fit_count() + cache.hit_count(), cache.size());
+      "\nmetamodel cache: %llu fits, %llu hits (%llu REDS jobs -> "
+      "%zu trained metamodels)\n",
+      static_cast<unsigned long long>(cache.misses),
+      static_cast<unsigned long long>(cache.hits),
+      static_cast<unsigned long long>(cache.misses + cache.hits), cache.size);
   std::printf(
       "without the cache every REDS job would have trained its own "
       "metamodel.\n");

@@ -339,53 +339,45 @@ MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
   // original simulated sample stays on as validation data either way, so
   // box selection is grounded in real labels.
   if (plan.streamed_relabel) {
-    // The finished product of the stream -- quantized index + O(L) labels
-    // -- is cacheable: consult the engine's relabel-stream hooks first. A
-    // custom sampler is an opaque function, so caching needs a sampler_id
-    // naming it; the default uniform sampler is always keyable.
     const RedsConfig rconfig = RedsConfigFor(spec, options);
-    const bool keyable = !options.sampler || !options.sampler_id.empty();
-    const bool has_hooks =
-        options.streamed_relabel_lookup || options.streamed_relabel_store;
-    const uint64_t key =
-        keyable && has_hooks
-            ? StreamedRelabelKey(train, spec, options, rconfig.num_new_points)
-            : 0;
-    std::shared_ptr<const StreamedDataset> data;
-    if (keyable && options.streamed_relabel_lookup) {
-      data = options.streamed_relabel_lookup(key, rconfig.num_new_points,
-                                             train.num_cols());
-      if (data != nullptr) {
-        // Warm path: zero labeling passes, zero code rebuilds. The marker
-        // lets tests assert the job did neither.
-        obs::TraceInstant("relabel.cached");
-      }
-    }
-    if (data == nullptr) {
+    bool built = false;
+    const auto build = [&] {
+      built = true;
       // One relabel.stream span covers sampling, metamodel labeling, and
       // the sketch/code passes: the relabeled points only exist inside this
       // chunked pipeline. Deliberately NOT index.build -- this is per-job
       // REDS work that runs warm or cold, while index.build marks
       // engine-side training-index construction that a warm engine skips
       // entirely.
-      Result<StreamedDataset> streamed = [&] {
-        obs::Span span("relabel.stream");
-        RedsStreamedRelabeling relabeling =
-            RedsRelabelStreamed(train, rconfig, DeriveSeed(options.seed, 23));
-        StreamedBuildOptions build;
-        build.block_rows = options.stream_block_rows;
-        return BinnedIndex::BuildStreamed(relabeling.new_data.get(), build);
-      }();
+      obs::Span span("relabel.stream");
+      RedsStreamedRelabeling relabeling =
+          RedsRelabelStreamed(train, rconfig, DeriveSeed(options.seed, 23));
+      StreamedBuildOptions build_options;
+      build_options.block_rows = options.stream_block_rows;
+      Result<StreamedDataset> streamed = BinnedIndex::BuildStreamed(
+          relabeling.new_data.get(), build_options);
       if (!streamed.ok()) {
         throw std::runtime_error("streamed REDS relabeling failed: " +
                                  streamed.status().ToString());
       }
-      auto owned =
-          std::make_shared<StreamedDataset>(std::move(streamed).value());
-      if (keyable && options.streamed_relabel_store) {
-        options.streamed_relabel_store(key, owned);
-      }
-      data = std::move(owned);
+      return std::make_shared<const StreamedDataset>(
+          std::move(streamed).value());
+    };
+    // The finished product of the stream -- quantized index + O(L) labels
+    // -- is cacheable through the engine's relabel-stream hook. A custom
+    // sampler is an opaque function, so caching needs a sampler_id naming
+    // it; the default uniform sampler is always keyable.
+    const bool keyable = !options.sampler || !options.sampler_id.empty();
+    std::shared_ptr<const StreamedDataset> data;
+    if (keyable && options.streamed_relabel_cache) {
+      data = options.streamed_relabel_cache(
+          StreamedRelabelKey(train, spec, options, rconfig.num_new_points),
+          rconfig.num_new_points, train.num_cols(), build);
+      // Warm path: zero labeling passes, zero code rebuilds. The marker
+      // lets tests assert the job did neither.
+      if (!built) obs::TraceInstant("relabel.cached");
+    } else {
+      data = build();
     }
     PrimConfig config;
     config.alpha = plan.alpha;

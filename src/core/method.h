@@ -102,17 +102,16 @@ struct RunOptions {
   /// is disabled for it unless this names it; the default uniform sampler
   /// needs no id. Two different samplers must never share an id.
   std::string sampler_id;
-  /// Optional engine hook: looks up a finished streamed REDS relabeling
-  /// (quantized index + labels) by cache key. A hit means the job replays
-  /// neither the sampler nor the metamodel nor the quantization -- zero
-  /// labeling passes, zero code rebuilds. Null on miss.
+  /// Optional engine hook: get-or-build of a finished streamed REDS
+  /// relabeling (quantized index + labels) by cache key. Returns the cached
+  /// relabeling -- the job then replays neither the sampler nor the
+  /// metamodel nor the quantization: zero labeling passes, zero code
+  /// rebuilds -- or runs `build` and caches its result. `expect_rows` /
+  /// `expect_cols` guard entries the hook reloads from disk.
   std::function<std::shared_ptr<const StreamedDataset>(
-      uint64_t key, int expect_rows, int expect_cols)>
-      streamed_relabel_lookup;
-  /// Optional engine hook: stores a cold run's streamed relabeling under
-  /// its cache key once built.
-  std::function<void(uint64_t key, std::shared_ptr<const StreamedDataset>)>
-      streamed_relabel_store;
+      uint64_t key, int expect_rows, int expect_cols,
+      const std::function<std::shared_ptr<const StreamedDataset>()>& build)>
+      streamed_relabel_cache;
 };
 
 /// What a method run produces: a trajectory of boxes to assess (nested

@@ -240,11 +240,16 @@ std::string ResolveDir(const std::string& configured, const char* env_var) {
 DiscoveryEngine::DiscoveryEngine(EngineConfig config)
     : config_(config),
       trace_dir_(ResolveDir(config.trace_dir, "REDS_TRACE_DIR")),
-      cache_(config.metamodel_cache_capacity, &metrics_),
-      column_indexes_(config.column_index_cache_capacity),
-      binned_indexes_(config.binned_index_cache_capacity),
-      streamed_indexes_(config.binned_index_cache_capacity),
-      relabel_streams_(config.relabel_stream_cache_capacity),
+      metamodels_(config.metamodel_cache_capacity, &metrics_,
+                  "cache.metamodel", "fits"),
+      column_indexes_(config.column_index_cache_capacity, &metrics_,
+                      "cache.index.column"),
+      binned_indexes_(config.binned_index_cache_capacity, &metrics_,
+                      "cache.index.binned"),
+      streamed_indexes_(config.binned_index_cache_capacity, &metrics_,
+                        "cache.index.streamed"),
+      relabel_streams_(config.relabel_stream_cache_capacity, &metrics_,
+                       "cache.relabel"),
       pool_(config.threads, &metrics_, "engine.pool") {
   jobs_submitted_ = metrics_.counter("engine.jobs.submitted");
   jobs_completed_ = metrics_.counter("engine.jobs.completed");
@@ -254,14 +259,6 @@ DiscoveryEngine::DiscoveryEngine(EngineConfig config)
   job_latency_ = metrics_.histogram("engine.job.latency_ns");
   job_warm_latency_ = metrics_.histogram("engine.job.warm_latency_ns");
   job_cold_latency_ = metrics_.histogram("engine.job.cold_latency_ns");
-  column_index_hits_ = metrics_.counter("cache.index.column.hits");
-  column_index_misses_ = metrics_.counter("cache.index.column.misses");
-  binned_index_hits_ = metrics_.counter("cache.index.binned.hits");
-  binned_index_misses_ = metrics_.counter("cache.index.binned.misses");
-  streamed_index_hits_ = metrics_.counter("cache.index.streamed.hits");
-  streamed_index_misses_ = metrics_.counter("cache.index.streamed.misses");
-  relabel_stream_hits_ = metrics_.counter("cache.relabel.hits");
-  relabel_stream_misses_ = metrics_.counter("cache.relabel.misses");
   // Which kernel tier this process dispatches to (0 = scalar, 1 = AVX2);
   // surfaces the REDS_SIMD override and the host's CPU features in
   // DumpMetrics so perf numbers are attributable.
@@ -314,8 +311,7 @@ bool DiscoveryEngine::ComputeCoalesceKey(const DiscoveryRequest& req,
   if (!req.train) return false;
   const RunOptions& o = req.options;
   if (o.metamodel_provider || o.column_index_provider ||
-      o.binned_index_provider || o.streamed_relabel_lookup ||
-      o.streamed_relabel_store) {
+      o.binned_index_provider || o.streamed_relabel_cache) {
     return false;
   }
   if (o.sampler && o.sampler_id.empty()) return false;
@@ -406,63 +402,36 @@ std::shared_ptr<const ColumnIndex> DiscoveryEngine::GetColumnIndex(
 
 std::shared_ptr<const ColumnIndex> DiscoveryEngine::GetColumnIndex(
     const Dataset& d, uint64_t fingerprint) {
-  {
-    std::unique_lock<std::mutex> lock(column_index_mutex_);
-    if (auto* found = column_indexes_.Get(fingerprint)) {
-      column_index_hits_->Add(1);
-      return *found;
-    }
-  }
-  column_index_misses_->Add(1);
-  t_cold_work = true;
-  // Build outside the lock: indexing a large relabeled matrix takes long
-  // enough that serializing it would stall unrelated jobs. A rare race
-  // builds twice and keeps one.
-  std::shared_ptr<const ColumnIndex> index;
-  {
+  return column_indexes_.Get(fingerprint, [&] {
+    t_cold_work = true;
     obs::Span span("index.build");
-    index = ColumnIndex::Build(d);
-  }
-  std::unique_lock<std::mutex> lock(column_index_mutex_);
-  if (auto* found = column_indexes_.Get(fingerprint)) return *found;
-  column_indexes_.Put(fingerprint, index);
-  return index;
+    return ColumnIndex::Build(d);
+  });
 }
 
 std::shared_ptr<const BinnedIndex> DiscoveryEngine::GetBinnedIndex(
     const Dataset& d) {
+  // Only exact-pack indexes live in this tier; sketch indexes (streamed
+  // builds) are filed separately and never returned here, so cold and warm
+  // runs see identical bins.
   const uint64_t fingerprint = FingerprintInputs(d);
-  {
-    std::unique_lock<std::mutex> lock(binned_index_mutex_);
-    if (auto* found = binned_indexes_.Get(fingerprint)) {
-      binned_index_hits_->Add(1);
-      return *found;
-    }
-  }
-  binned_index_misses_->Add(1);
-  t_cold_work = true;
-  // Memory miss: try the disk tier, then build. Both happen outside the
-  // lock -- quantizing a large relabeled matrix takes long enough that
-  // serializing it would stall unrelated jobs. A rare race builds twice
-  // and keeps one. Only exact-pack indexes live under this key; sketch
-  // indexes (streamed builds) are filed separately and never returned
-  // here, so cold and warm runs see identical bins.
-  std::shared_ptr<const BinnedIndex> binned;
-  if (disk_ != nullptr) {
-    obs::Span span("index.load");
-    binned = disk_->LoadBinnedIndex(fingerprint,
-                                    BinnedIndex::BuildKind::kExactPack,
-                                    d.num_rows(), d.num_cols());
-  }
-  if (binned == nullptr) {
-    obs::Span span("index.build");
-    binned = BinnedIndex::Build(*GetColumnIndex(d, fingerprint));
-    if (disk_ != nullptr) disk_->StoreBinnedIndex(fingerprint, *binned);
-  }
-  std::unique_lock<std::mutex> lock(binned_index_mutex_);
-  if (auto* found = binned_indexes_.Get(fingerprint)) return *found;
-  binned_indexes_.Put(fingerprint, binned);
-  return binned;
+  return binned_indexes_.Get(
+      fingerprint,
+      [&]() -> std::shared_ptr<const BinnedIndex> {
+        t_cold_work = true;
+        if (disk_ == nullptr) return nullptr;
+        obs::Span span("index.load");
+        return disk_->LoadBinnedIndex(fingerprint,
+                                      BinnedIndex::BuildKind::kExactPack,
+                                      d.num_rows(), d.num_cols());
+      },
+      [&] {
+        obs::Span span("index.build");
+        return BinnedIndex::Build(*GetColumnIndex(d, fingerprint));
+      },
+      [&](const BinnedIndex& binned) {
+        if (disk_ != nullptr) disk_->StoreBinnedIndex(fingerprint, binned);
+      });
 }
 
 StreamedTrainData DiscoveryEngine::IngestSource(DatasetSource* source) {
@@ -506,54 +475,42 @@ StreamedTrainData DiscoveryEngine::IngestSource(DatasetSource* source) {
   const int rows = static_cast<int>(data.y->size());
 
   // Index: memory LRU, then the persistent tier, then a cold build.
-  {
-    std::unique_lock<std::mutex> lock(streamed_index_mutex_);
-    if (auto* found = streamed_indexes_.Get(data.input_fingerprint)) {
-      streamed_index_hits_->Add(1);
-      data.index = *found;
-      return data;
-    }
-  }
-  streamed_index_misses_->Add(1);  // LRU miss; the disk tier counts its own
-  t_cold_work = true;
-  std::shared_ptr<const BinnedIndex> index;
-  if (disk_ != nullptr) {
-    obs::Span span("index.load");
-    index = disk_->LoadStreamedIndex(data.input_fingerprint, rows, cols);
-  }
-  if (index == nullptr) {
-    // The cold build: Chrome traces show its two passes as
-    // index.sketch_pass / index.code_pass children (emitted inside
-    // BuildStreamed), all under this index.build span -- the one the
-    // warm-trace test asserts is absent on a warm engine.
-    obs::Span span("index.build");
-    StreamedBuildOptions options;
-    options.block_rows = config_.stream_block_rows;
-    Result<StreamedDataset> built =
-        BinnedIndex::BuildStreamed(source, options);
-    if (!built.ok()) {
-      throw std::runtime_error("streamed index build failed: " +
-                               built.status().ToString());
-    }
-    // A source that does not replay the identical rows poisons every
-    // cache tier keyed by its first pass; refuse it loudly.
-    if (built->input_fingerprint != data.input_fingerprint ||
-        built->fingerprint != data.fingerprint) {
-      throw std::invalid_argument(
-          "streamed request source is not deterministic across Reset()");
-    }
-    index = built->index;
-    if (disk_ != nullptr) {
-      disk_->StoreStreamedIndex(data.input_fingerprint, *index);
-    }
-  }
-  std::unique_lock<std::mutex> lock(streamed_index_mutex_);
-  if (auto* found = streamed_indexes_.Get(data.input_fingerprint)) {
-    data.index = *found;
-    return data;
-  }
-  streamed_indexes_.Put(data.input_fingerprint, index);
-  data.index = std::move(index);
+  data.index = streamed_indexes_.Get(
+      data.input_fingerprint,
+      [&]() -> std::shared_ptr<const BinnedIndex> {
+        t_cold_work = true;
+        if (disk_ == nullptr) return nullptr;
+        obs::Span span("index.load");
+        return disk_->LoadStreamedIndex(data.input_fingerprint, rows, cols);
+      },
+      [&] {
+        // The cold build: Chrome traces show its two passes as
+        // index.sketch_pass / index.code_pass children (emitted inside
+        // BuildStreamed), all under this index.build span -- the one the
+        // warm-trace test asserts is absent on a warm engine.
+        obs::Span span("index.build");
+        StreamedBuildOptions options;
+        options.block_rows = config_.stream_block_rows;
+        Result<StreamedDataset> built =
+            BinnedIndex::BuildStreamed(source, options);
+        if (!built.ok()) {
+          throw std::runtime_error("streamed index build failed: " +
+                                   built.status().ToString());
+        }
+        // A source that does not replay the identical rows poisons every
+        // cache tier keyed by its first pass; refuse it loudly.
+        if (built->input_fingerprint != data.input_fingerprint ||
+            built->fingerprint != data.fingerprint) {
+          throw std::invalid_argument(
+              "streamed request source is not deterministic across Reset()");
+        }
+        return built->index;
+      },
+      [&](const BinnedIndex& index) {
+        if (disk_ != nullptr) {
+          disk_->StoreStreamedIndex(data.input_fingerprint, index);
+        }
+      });
   return data;
 }
 
@@ -562,26 +519,22 @@ PersistentCacheStats DiscoveryEngine::persistent_cache_stats() const {
 }
 
 int DiscoveryEngine::column_index_cache_size() const {
-  std::unique_lock<std::mutex> lock(column_index_mutex_);
   return static_cast<int>(column_indexes_.size());
 }
 
 int DiscoveryEngine::binned_index_cache_size() const {
-  std::unique_lock<std::mutex> lock(binned_index_mutex_);
   return static_cast<int>(binned_indexes_.size());
 }
 
 int DiscoveryEngine::streamed_index_cache_size() const {
-  std::unique_lock<std::mutex> lock(streamed_index_mutex_);
   return static_cast<int>(streamed_indexes_.size());
 }
 
 int DiscoveryEngine::relabel_stream_cache_size() const {
-  std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
   return static_cast<int>(relabel_streams_.size());
 }
 
-void DiscoveryEngine::InstallRelabelStreamHooks(RunOptions* options) {
+void DiscoveryEngine::InstallRelabelStreamHook(RunOptions* options) {
   // The method layer's key covers the request recipe (training bytes,
   // metamodel recipe, seed, stream length, block size, sampler identity)
   // but not how this engine actually labels: with cache_metamodels on, the
@@ -590,43 +543,25 @@ void DiscoveryEngine::InstallRelabelStreamHooks(RunOptions* options) {
   // engines configured differently never share an entry.
   const uint64_t engine_salt =
       DeriveSeed(config_.seed, config_.cache_metamodels ? 1 : 2);
-  const auto fold = [engine_salt](uint64_t key) {
-    return DeriveSeed(engine_salt, key);
-  };
-  options->streamed_relabel_lookup =
-      [this, fold](uint64_t key, int expect_rows,
-                   int expect_cols) -> std::shared_ptr<const StreamedDataset> {
-    const uint64_t k = fold(key);
-    {
-      std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-      if (auto* found = relabel_streams_.Get(k)) {
-        relabel_stream_hits_->Add(1);
-        return *found;
-      }
-    }
-    relabel_stream_misses_->Add(1);  // LRU miss; the disk tier counts its own
-    // Either a disk load or a fresh stream build follows -- cold work both.
-    t_cold_work = true;
-    if (disk_ == nullptr) return nullptr;
-    std::shared_ptr<const StreamedDataset> data;
-    {
-      obs::Span span("relabel.load");
-      data = disk_->LoadRelabelStream(k, expect_rows, expect_cols);
-    }
-    if (data != nullptr) {
-      std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-      relabel_streams_.Put(k, data);
-    }
-    return data;
-  };
-  options->streamed_relabel_store =
-      [this, fold](uint64_t key, std::shared_ptr<const StreamedDataset> data) {
-        const uint64_t k = fold(key);
-        {
-          std::unique_lock<std::mutex> lock(relabel_stream_mutex_);
-          relabel_streams_.Put(k, data);
-        }
-        if (disk_ != nullptr) disk_->StoreRelabelStream(k, *data);
+  options->streamed_relabel_cache =
+      [this, engine_salt](
+          uint64_t key, int expect_rows, int expect_cols,
+          const std::function<std::shared_ptr<const StreamedDataset>()>&
+              build) {
+        const uint64_t k = DeriveSeed(engine_salt, key);
+        return relabel_streams_.Get(
+            k,
+            [&]() -> std::shared_ptr<const StreamedDataset> {
+              // A disk load or a fresh stream build follows: cold work both.
+              t_cold_work = true;
+              if (disk_ == nullptr) return nullptr;
+              obs::Span span("relabel.load");
+              return disk_->LoadRelabelStream(k, expect_rows, expect_cols);
+            },
+            build,
+            [&](const StreamedDataset& data) {
+              if (disk_ != nullptr) disk_->StoreRelabelStream(k, data);
+            });
       };
 }
 
@@ -652,42 +587,48 @@ MetamodelProvider DiscoveryEngine::MakeCachingProvider() {
     key.growth = growth;
     key.max_leaves = max_leaves;
     key.seed = CanonicalSeed(config_.seed, key);
-    return cache_.GetOrFit(key, [this, &train, kind, tune, budget, backend,
-                                 growth, max_leaves, &key] {
-      // Fit or disk load, either way this job did real metamodel work.
-      t_cold_work = true;
-      // Disk tier first: a model trained by an earlier engine process (or
-      // a previous run of this one) reloads instead of refitting. The
-      // canonical seed in the key makes the reloaded model bit-identical
-      // to what this fit would have produced.
-      if (disk_ != nullptr) {
-        obs::Span span("metamodel.load");
-        if (std::shared_ptr<const ml::Metamodel> loaded =
-                disk_->LoadMetamodel(key)) {
-          return loaded;
-        }
-      }
-      // Tree metamodels reuse the engine's shared columnar index (and
-      // quantization, under the histogram backend) of the training data:
-      // untuned fits feed them straight to the split search, tuned fits
-      // stream their CV folds as row views over them (ml/tuning.h) --
-      // identical results to privately built views either way.
-      std::shared_ptr<const ColumnIndex> index;
-      std::shared_ptr<const BinnedIndex> binned;
-      if (config_.cache_column_indexes && kind != ml::MetamodelKind::kSvm) {
-        index = GetColumnIndex(train);
-        if (config_.cache_binned_indexes &&
-            backend == ml::SplitBackend::kHistogram) {
-          binned = GetBinnedIndex(train);
-        }
-      }
-      obs::Span span("metamodel.fit");
-      std::shared_ptr<const ml::Metamodel> model(
-          ml::FitMetamodel(kind, train, key.seed, tune, budget, index.get(),
-                           binned.get(), backend, growth, max_leaves));
-      if (disk_ != nullptr) disk_->StoreMetamodel(key, *model);
-      return model;
-    });
+    bool missed = false;
+    std::shared_ptr<const ml::Metamodel> model = metamodels_.Get(
+        key,
+        [&]() -> std::shared_ptr<const ml::Metamodel> {
+          // Disk load or fit, either way this job did real metamodel work.
+          missed = true;
+          t_cold_work = true;
+          // A model trained by an earlier engine process (or a previous run
+          // of this one) reloads instead of refitting. The canonical seed in
+          // the key makes it bit-identical to what the fit would produce.
+          if (disk_ == nullptr) return nullptr;
+          obs::Span span("metamodel.load");
+          return disk_->LoadMetamodel(key);
+        },
+        [&]() -> std::shared_ptr<const ml::Metamodel> {
+          // Tree metamodels reuse the engine's shared columnar index (and
+          // quantization, under the histogram backend) of the training
+          // data: untuned fits feed them straight to the split search,
+          // tuned fits stream their CV folds as row views over them
+          // (ml/tuning.h) -- identical results to privately built views
+          // either way.
+          std::shared_ptr<const ColumnIndex> index;
+          std::shared_ptr<const BinnedIndex> binned;
+          if (config_.cache_column_indexes &&
+              kind != ml::MetamodelKind::kSvm) {
+            index = GetColumnIndex(train);
+            if (config_.cache_binned_indexes &&
+                backend == ml::SplitBackend::kHistogram) {
+              binned = GetBinnedIndex(train);
+            }
+          }
+          obs::Span span("metamodel.fit");
+          return std::shared_ptr<const ml::Metamodel>(
+              ml::FitMetamodel(kind, train, key.seed, tune, budget,
+                               index.get(), binned.get(), backend, growth,
+                               max_leaves));
+        },
+        [&](const ml::Metamodel& fitted) {
+          if (disk_ != nullptr) disk_->StoreMetamodel(key, fitted);
+        });
+    if (!missed) obs::TraceInstant("metamodel.cache_hit");
+    return model;
   };
 }
 
@@ -782,8 +723,8 @@ void DiscoveryEngine::Execute(const JobHandle& job) {
       options.binned_index_provider = MakeBinnedIndexProvider();
     }
     if (config_.cache_relabel_streams && spec->reds &&
-        !options.streamed_relabel_lookup && !options.streamed_relabel_store) {
-      InstallRelabelStreamHooks(&options);
+        !options.streamed_relabel_cache) {
+      InstallRelabelStreamHook(&options);
     }
 
     MethodOutput out;

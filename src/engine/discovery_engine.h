@@ -23,12 +23,11 @@
 #include "core/column_index.h"
 #include "core/dataset_source.h"
 #include "core/method.h"
-#include "engine/metamodel_cache.h"
+#include "engine/cache_tier.h"
 #include "engine/persistent_cache.h"
 #include "engine/result_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/lru_map.h"
 #include "util/thread_pool.h"
 
 namespace reds::engine {
@@ -231,6 +230,9 @@ class Job {
 
 using JobHandle = std::shared_ptr<Job>;
 
+/// The engine's metamodel cache: one entry per distinct trained model.
+using MetamodelTier = CacheTier<MetamodelKey, ml::Metamodel>;
+
 /// What streamed ingestion of a training source yields: the quantized
 /// index (with its own permutation), the labels, and both fingerprints --
 /// the dataset's identity in every cache tier -- computed incrementally
@@ -266,12 +268,14 @@ class DiscoveryEngine {
 
   ResultStore& results() { return store_; }
   const ResultStore& results() const { return store_; }
-  const MetamodelCache& metamodel_cache() const { return cache_; }
+  /// The metamodel tier: misses() counts fits (and disk loads), hits()
+  /// the requests served without either.
+  const MetamodelTier& metamodel_cache() const { return metamodels_; }
 
   /// Drops all cached metamodels (fit/hit counters are preserved). Call
   /// after a batch completes when the engine outlives it; finished
   /// one-shot matrices otherwise keep every fitted model resident.
-  void ClearMetamodelCache() { cache_.Clear(); }
+  void ClearMetamodelCache() { metamodels_.Clear(); }
   const EngineConfig& config() const { return config_; }
   int threads() const { return pool_.num_threads(); }
 
@@ -359,9 +363,9 @@ class DiscoveryEngine {
   MetamodelProvider MakeCachingProvider();
   ColumnIndexProvider MakeColumnIndexProvider();
   BinnedIndexProvider MakeBinnedIndexProvider();
-  /// Installs streamed_relabel_lookup/store on `options`, closing over the
-  /// engine's relabel-stream LRU and disk tier.
-  void InstallRelabelStreamHooks(RunOptions* options);
+  /// Installs streamed_relabel_cache on `options`, closing over the
+  /// engine's relabel-stream tier.
+  void InstallRelabelStreamHook(RunOptions* options);
   std::shared_ptr<const ColumnIndex> GetColumnIndex(const Dataset& d,
                                                     uint64_t fingerprint);
 
@@ -384,34 +388,23 @@ class DiscoveryEngine {
   // warm series, so warm p50/p99 is scrapeable on its own.
   obs::Histogram* job_warm_latency_ = nullptr;
   obs::Histogram* job_cold_latency_ = nullptr;
-  obs::Counter* column_index_hits_ = nullptr;
-  obs::Counter* column_index_misses_ = nullptr;
-  obs::Counter* binned_index_hits_ = nullptr;
-  obs::Counter* binned_index_misses_ = nullptr;
-  obs::Counter* streamed_index_hits_ = nullptr;
-  obs::Counter* streamed_index_misses_ = nullptr;
-  obs::Counter* relabel_stream_hits_ = nullptr;
-  obs::Counter* relabel_stream_misses_ = nullptr;
-  MetamodelCache cache_;
   std::unique_ptr<PersistentCache> disk_;  // null: tier disabled
-  mutable std::mutex column_index_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const ColumnIndex>> column_indexes_;
-  mutable std::mutex binned_index_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const BinnedIndex>> binned_indexes_;
-  // Streamed-build indexes, keyed by input fingerprint. A separate map
-  // from binned_indexes_: beyond the bin budget the two packings differ,
-  // and streamed requests must always see streamed bins (warm == cold).
-  mutable std::mutex streamed_index_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const BinnedIndex>> streamed_indexes_;
+  MetamodelTier metamodels_;
+  // Data-plane indexes, keyed by input fingerprint.
+  CacheTier<uint64_t, ColumnIndex> column_indexes_;
+  CacheTier<uint64_t, BinnedIndex> binned_indexes_;
+  // Streamed-build indexes. A separate tier from binned_indexes_: beyond
+  // the bin budget the two packings differ, and streamed requests must
+  // always see streamed bins (warm == cold).
+  CacheTier<uint64_t, BinnedIndex> streamed_indexes_;
   // Finished streamed REDS relabelings, keyed by the engine-folded relabel
-  // cache key (see InstallRelabelStreamHooks). Entries share their index's
+  // cache key (see InstallRelabelStreamHook). Entries share their index's
   // bytes with nothing else: the relabeled stream is request-recipe-keyed,
   // not dataset-keyed.
-  mutable std::mutex relabel_stream_mutex_;
-  LruMap<uint64_t, std::shared_ptr<const StreamedDataset>> relabel_streams_;
+  CacheTier<uint64_t, StreamedDataset> relabel_streams_;
   // Single-flight request coalescing: one entry per in-flight leader,
-  // holding the followers that attached while it ran (mirrors the
-  // metamodel cache's in_flight_ map, at job granularity).
+  // holding the followers that attached while it ran (the cache tiers'
+  // in-flight pinning, at job granularity).
   mutable std::mutex coalesce_mutex_;
   std::map<uint64_t, std::vector<JobHandle>> coalescing_;
   ResultStore store_;

@@ -15,13 +15,38 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "core/binned_index.h"
-#include "engine/metamodel_cache.h"
 #include "ml/model.h"
+#include "ml/tuning.h"
 #include "obs/metrics.h"
 
 namespace reds::engine {
+
+/// Identity of one trained metamodel: the key of the engine's metamodel
+/// tier and of its files here. The split backend is part of the
+/// identity: histogram-trained trees differ from presorted/exact ones
+/// beyond 256 distinct values per feature, so they must not share entries.
+/// So is the tree growth order: leaf-wise trees (and any max_leaves cap)
+/// are a different model whenever gains tie or the cap binds.
+struct MetamodelKey {
+  uint64_t fingerprint = 0;  // FingerprintDataset of the training data
+  ml::MetamodelKind kind = ml::MetamodelKind::kGbt;
+  bool tuned = false;
+  ml::TuningBudget budget = ml::TuningBudget::kQuick;
+  ml::SplitBackend backend = ml::SplitBackend::kPresorted;
+  ml::GrowthPolicy growth = ml::GrowthPolicy::kDepthWise;
+  int max_leaves = 0;
+  uint64_t seed = 0;
+
+  friend bool operator<(const MetamodelKey& a, const MetamodelKey& b) {
+    return std::tie(a.fingerprint, a.kind, a.tuned, a.budget, a.backend,
+                    a.growth, a.max_leaves, a.seed) <
+           std::tie(b.fingerprint, b.kind, b.tuned, b.budget, b.backend,
+                    b.growth, b.max_leaves, b.seed);
+  }
+};
 
 /// Point-in-time counters of the disk tier. A view assembled from the
 /// `cache.persistent.*` registry counters, which are the single source of

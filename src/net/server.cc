@@ -45,6 +45,37 @@ uint64_t RequestFingerprint(const SubmitRequest& msg) {
   return util::Fnv64(bytes.data().data(), bytes.size());
 }
 
+// Encodes one finished request's result frames: the trajectory as
+// kResultBoxes chunks of `chunk` boxes when the client asked for boxes,
+// then `done` -- its trajectory length and server latency (since `t0`)
+// stamped here -- as the closing kResultDone frame. Cache replays and
+// engine completions both go through it, so they put identical frame
+// sequences on the wire. Returns the stamped latency.
+uint64_t AppendResultFrames(
+    const std::vector<Box>& trajectory, bool want_boxes, int chunk,
+    ResultDone done, std::chrono::steady_clock::time_point t0,
+    std::vector<std::pair<shard::MsgType, std::string>>* frames) {
+  const size_t total = trajectory.size();
+  if (want_boxes) {
+    for (size_t i = 0; i < total; i += static_cast<size_t>(chunk)) {
+      ResultBoxes boxes;
+      boxes.request_id = done.request_id;
+      boxes.first_index = static_cast<uint32_t>(i);
+      const size_t end = std::min(total, i + static_cast<size_t>(chunk));
+      boxes.boxes.assign(trajectory.begin() + i, trajectory.begin() + end);
+      frames->emplace_back(
+          shard::MsgType::kResultBoxes,
+          EncodePayload([&](util::ByteWriter* w) { boxes.SerializeTo(w); }));
+    }
+  }
+  done.trajectory_len = static_cast<uint32_t>(total);
+  done.server_latency_ns = NsSince(t0);
+  frames->emplace_back(
+      shard::MsgType::kResultDone,
+      EncodePayload([&](util::ByteWriter* w) { done.SerializeTo(w); }));
+  return done.server_latency_ns;
+}
+
 }  // namespace
 
 void DiscoveryServer::EventQueue::Push(Event event) {
@@ -663,33 +694,16 @@ void DiscoveryServer::ReplayCachedResult(
   Event event;
   event.conn_id = conn_id;
   event.inflight_delta = -1;
-  if (msg.want_boxes) {
-    const int chunk = std::max(1, config_.result_chunk_boxes);
-    const size_t total = cached.trajectory.size();
-    for (size_t i = 0; i < total; i += static_cast<size_t>(chunk)) {
-      ResultBoxes boxes;
-      boxes.request_id = msg.request_id;
-      boxes.first_index = static_cast<uint32_t>(i);
-      const size_t end = std::min(total, i + static_cast<size_t>(chunk));
-      boxes.boxes.assign(cached.trajectory.begin() + i,
-                         cached.trajectory.begin() + end);
-      event.frames.emplace_back(
-          shard::MsgType::kResultBoxes,
-          EncodePayload([&](util::ByteWriter* w) { boxes.SerializeTo(w); }));
-    }
-  }
   ResultDone done;
   done.request_id = msg.request_id;
   done.flags = kAdmitResultCached;
   done.last_box = cached.last_box;
-  done.trajectory_len = static_cast<uint32_t>(cached.trajectory.size());
   done.restricted = cached.restricted;
   done.runtime_seconds = cached.runtime_seconds;
-  done.server_latency_ns = NsSince(t0);
-  event.frames.emplace_back(
-      shard::MsgType::kResultDone,
-      EncodePayload([&](util::ByteWriter* w) { done.SerializeTo(w); }));
-  request_latency_->Observe(done.server_latency_ns);
+  request_latency_->Observe(AppendResultFrames(
+      cached.trajectory, msg.want_boxes,
+      std::max(1, config_.result_chunk_boxes), std::move(done), t0,
+      &event.frames));
   results_delivered_->Add(1);
   events_->Push(std::move(event));
 }
@@ -862,37 +876,20 @@ void DiscoveryServer::HandleSubmit(uint64_t conn_id,
     ResultDone done;
     done.request_id = request_id;
     done.flags = flags;
-    if (job->state() == engine::JobState::kFailed) {
+    const std::vector<Box> no_boxes;
+    const bool failed = job->state() == engine::JobState::kFailed;
+    if (failed) {
       done.failed = true;
       done.error = job->error();
     } else {
       const MethodOutput& out = job->output();
-      if (want_boxes) {
-        const size_t total = out.trajectory.size();
-        for (size_t i = 0; i < total; i += static_cast<size_t>(chunk)) {
-          ResultBoxes boxes;
-          boxes.request_id = request_id;
-          boxes.first_index = static_cast<uint32_t>(i);
-          const size_t end = std::min(total, i + static_cast<size_t>(chunk));
-          boxes.boxes.assign(out.trajectory.begin() + i,
-                             out.trajectory.begin() + end);
-          event.frames.emplace_back(
-              shard::MsgType::kResultBoxes,
-              EncodePayload(
-                  [&](util::ByteWriter* w) { boxes.SerializeTo(w); }));
-        }
-      }
       done.last_box = out.last_box;
-      done.trajectory_len = static_cast<uint32_t>(out.trajectory.size());
       done.restricted = out.last_box.NumRestricted();
       done.runtime_seconds = out.runtime_seconds;
     }
-    const uint64_t ns = NsSince(t0);
-    done.server_latency_ns = ns;
-    event.frames.emplace_back(
-        shard::MsgType::kResultDone,
-        EncodePayload([&](util::ByteWriter* w) { done.SerializeTo(w); }));
-    latency->Observe(ns);
+    latency->Observe(AppendResultFrames(
+        failed ? no_boxes : job->output().trajectory, want_boxes, chunk,
+        std::move(done), t0, &event.frames));
     delivered->Add(1);
     events->Push(std::move(event));
   });

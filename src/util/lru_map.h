@@ -1,6 +1,6 @@
 // Generic least-recently-used map: an ordered map over a recency list with
 // max-entry eviction. Single-threaded by design -- callers that share one
-// (the engine's metamodel and column-index caches) hold their own mutex.
+// (engine::CacheTier, the net server's caches) hold their own mutex.
 #ifndef REDS_UTIL_LRU_MAP_H_
 #define REDS_UTIL_LRU_MAP_H_
 

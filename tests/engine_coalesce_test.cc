@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -113,14 +114,12 @@ struct ColdWork {
   uint64_t binned_misses = 0;
   uint64_t streamed_misses = 0;
   uint64_t relabel_misses = 0;
-  int fits = 0;
-  int hits = 0;
 };
 
 struct BurstRun {
   ColdWork work;
-  int fits = 0;
-  int hits = 0;
+  uint64_t fits = 0;
+  uint64_t hits = 0;
   uint64_t coalesced = 0;
   std::vector<JobHandle> jobs;
 };
@@ -146,8 +145,8 @@ BurstRun RunBurst(int n) {
       engine.metrics().counter("cache.index.streamed.misses")->Value();
   run.work.relabel_misses =
       engine.metrics().counter("cache.relabel.misses")->Value();
-  run.fits = engine.metamodel_cache().fit_count();
-  run.hits = engine.metamodel_cache().hit_count();
+  run.fits = engine.metamodel_cache().misses();
+  run.hits = engine.metamodel_cache().hits();
   run.coalesced = engine.metrics().counter("engine.jobs.coalesced")->Value();
   return run;
 }
@@ -159,8 +158,8 @@ TEST(EngineCoalesceTest, NIdenticalRequestsDoTheWorkOfOne) {
   // Exactly one metamodel fit on the cold engine, and -- unlike the
   // metamodel-cache dedup of previous engines -- zero additional cache
   // lookups: followers never reach any cache at all.
-  EXPECT_EQ(burst.fits, 1);
-  EXPECT_EQ(burst.hits, 0);
+  EXPECT_EQ(burst.fits, 1u);
+  EXPECT_EQ(burst.hits, 0u);
   EXPECT_EQ(burst.coalesced, 5u);
 
   // Every cold-work counter of the 6-request burst equals the 1-request
@@ -285,6 +284,45 @@ TEST(EngineCoalesceTest, CustomProviderRequestsNeverCoalesce) {
     ASSERT_EQ(job->state(), JobState::kDone) << job->error();
   }
   EXPECT_EQ(engine.metrics().counter("engine.jobs.coalesced")->Value(), 0u);
+}
+
+TEST(EngineCoalesceTest, UncoalescedIdenticalRedsJobsRelabelOnce) {
+  // With coalescing off, K identical streamed-REDS jobs each take a worker
+  // and reach the relabel-stream tier concurrently. Its single-flight build
+  // still relabels once: the other jobs join that attempt or hit its
+  // result, and none of them reaches the metamodel tier.
+  constexpr int kJobs = 4;
+  const std::string trace_dir =
+      ::testing::TempDir() + "reds_coalesce_relabel_traces";
+  std::filesystem::remove_all(trace_dir);
+  EngineConfig config = ColdConfig();
+  config.threads = kJobs;
+  config.coalesce_requests = false;
+  config.trace_dir = trace_dir;
+  DiscoveryEngine engine(config);
+  const auto train = MakeData(200, 4, 1);
+  std::vector<JobHandle> jobs;
+  for (int i = 0; i < kJobs; ++i) {
+    jobs.push_back(engine.Submit(IdenticalRequest(train, nullptr, i)));
+  }
+  engine.WaitAll();
+  int relabel_streams = 0;
+  for (const JobHandle& job : jobs) {
+    ASSERT_EQ(job->state(), JobState::kDone)
+        << (job->state() == JobState::kFailed ? job->error() : "");
+    ASSERT_NE(job->trace(), nullptr);
+    relabel_streams += job->trace()->CountEvents("relabel.stream");
+  }
+  EXPECT_EQ(engine.metrics().counter("cache.relabel.misses")->Value(), 1u);
+  EXPECT_EQ(engine.metrics().counter("cache.relabel.hits")->Value(),
+            static_cast<uint64_t>(kJobs - 1));
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
+  EXPECT_EQ(engine.metrics().counter("engine.jobs.coalesced")->Value(), 0u);
+#ifndef REDS_OBS_NOOP
+  EXPECT_EQ(relabel_streams, 1);
+#endif
+  std::filesystem::remove_all(trace_dir);
 }
 
 TEST(EngineCoalesceTest, WarmAndColdLatencySplitInMetrics) {

@@ -199,7 +199,9 @@ TEST(EngineObsTest, DumpMetricsCoversEverySubsystem) {
   SKIP_UNDER_NOOP();
   const auto data = MakeGridData(250, 4, 13);
   DiscoveryEngine engine({/*threads=*/2});
-  // Two concurrent REDS jobs: the in-flight dedup makes one fit + one hit.
+  // Two concurrent REDS jobs: the single-flight relabel tier makes one
+  // relabel build (hence one fit) and one relabel hit; the second job never
+  // reaches the metamodel tier.
   const auto first = engine.Submit(SourceRequest(data, "RPx"));
   const auto second = engine.Submit(SourceRequest(data, "RPx"));
   engine.WaitAll();
@@ -225,7 +227,9 @@ TEST(EngineObsTest, DumpMetricsCoversEverySubsystem) {
   EXPECT_EQ(metrics.CounterValue("engine.jobs.failed"), 0u);
   EXPECT_EQ(metrics.HistogramData("engine.job.latency_ns").count, 4u);
   EXPECT_EQ(metrics.CounterValue("cache.metamodel.fits"), 1u);
-  EXPECT_EQ(metrics.CounterValue("cache.metamodel.hits"), 1u);
+  EXPECT_EQ(metrics.CounterValue("cache.metamodel.hits"), 0u);
+  EXPECT_EQ(metrics.CounterValue("cache.relabel.misses"), 1u);
+  EXPECT_EQ(metrics.CounterValue("cache.relabel.hits"), 1u);
   EXPECT_EQ(metrics.CounterValue("cache.index.streamed.misses"), 1u);
   EXPECT_EQ(metrics.CounterValue("cache.index.streamed.hits"), 1u);
   EXPECT_EQ(metrics.CounterValue("engine.pool.tasks_completed"), 4u);
@@ -265,9 +269,9 @@ TEST(EngineObsTest, LegacyStatViewsMatchTheRegistry) {
       << (prim_job->state() == JobState::kFailed ? prim_job->error() : "");
 
   const obs::MetricsRegistry& metrics = engine.metrics();
-  EXPECT_EQ(static_cast<uint64_t>(engine.metamodel_cache().fit_count()),
+  EXPECT_EQ(engine.metamodel_cache().misses(),
             metrics.CounterValue("cache.metamodel.fits"));
-  EXPECT_EQ(static_cast<uint64_t>(engine.metamodel_cache().hit_count()),
+  EXPECT_EQ(engine.metamodel_cache().hits(),
             metrics.CounterValue("cache.metamodel.hits"));
   const PersistentCacheStats stats = engine.persistent_cache_stats();
   EXPECT_EQ(stats.model_writes,

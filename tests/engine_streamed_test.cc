@@ -104,8 +104,8 @@ TEST(EngineStreamedTest, StreamedAndEagerRedsShareOneMetamodelFit) {
   ASSERT_EQ(streamed->state(), JobState::kDone)
       << (streamed->state() == JobState::kFailed ? streamed->error() : "");
   ASSERT_EQ(eager->state(), JobState::kDone);
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 1);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 1u);
   EXPECT_TRUE(streamed->output().last_box == eager->output().last_box);
 }
 
@@ -172,7 +172,7 @@ TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
         << (reds_job->state() == JobState::kFailed ? reds_job->error() : "");
     ASSERT_EQ(prim_job->state(), JobState::kDone);
     cold_box = reds_job->output().last_box;
-    EXPECT_EQ(cold.metamodel_cache().fit_count(), 1);
+    EXPECT_EQ(cold.metamodel_cache().misses(), 1u);
     const PersistentCacheStats stats = cold.persistent_cache_stats();
     EXPECT_GE(stats.model_writes, 1);
     EXPECT_GE(stats.index_writes, 1);
@@ -201,7 +201,7 @@ TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
     EXPECT_EQ(stats.model_hits, 0);
     EXPECT_EQ(stats.model_misses, 0);
     EXPECT_EQ(stats.model_writes, 0);
-    EXPECT_EQ(warm.metamodel_cache().fit_count(), 0);
+    EXPECT_EQ(warm.metamodel_cache().misses(), 0u);
     // Zero index builds: the streamed index came from disk too.
     EXPECT_GE(stats.index_hits, 1);
     EXPECT_EQ(stats.index_writes, 0);

@@ -82,9 +82,9 @@ TEST(MetamodelCacheTest, FitCountIsOneForKSameDatasetRedsRequests) {
     ASSERT_EQ(job->state(), JobState::kDone)
         << (job->state() == JobState::kFailed ? job->error() : "");
   }
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 2);
-  EXPECT_EQ(engine.metamodel_cache().size(), 1);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 2u);
+  EXPECT_EQ(engine.metamodel_cache().size(), 1u);
 }
 
 TEST(MetamodelCacheTest, DistinctKindsAndDatasetsFitSeparately) {
@@ -95,8 +95,8 @@ TEST(MetamodelCacheTest, DistinctKindsAndDatasetsFitSeparately) {
   engine.Submit(MakeRequest(train_a, "RPf"));  // same data, other metamodel
   engine.Submit(MakeRequest(train_b, "RPx"));  // other data, same metamodel
   engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 3);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 0);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 3u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
 }
 
 TEST(MetamodelCacheTest, BitwiseEqualDatasetObjectsShareOneFit) {
@@ -108,8 +108,8 @@ TEST(MetamodelCacheTest, BitwiseEqualDatasetObjectsShareOneFit) {
   engine.Submit(MakeRequest(train_a, "RPx"));
   engine.Submit(MakeRequest(train_b, "RPx"));
   engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 1);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 1u);
 }
 
 TEST(BinnedIndexCacheTest, BatchOverOneDatasetQuantizesOnce) {
@@ -145,8 +145,8 @@ TEST(BinnedIndexCacheTest, HistogramBackendKeysMetamodelsSeparately) {
   engine.Submit(std::move(presorted));
   engine.Submit(std::move(histogram));
   engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 2);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 0);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 2u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
 }
 
 TEST(DiscoveryEngineTest, ConcurrentSubmissionStress) {
@@ -177,8 +177,8 @@ TEST(DiscoveryEngineTest, ConcurrentSubmissionStress) {
     EXPECT_GE(m.runtime_seconds, 0.0);
   }
   // Two datasets x one (GBT, untuned) metamodel each; everything else hits.
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 2);
-  EXPECT_EQ(engine.metamodel_cache().hit_count(), 16 - 2);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 2u);
+  EXPECT_EQ(engine.metamodel_cache().hits(), 16u - 2);
   EXPECT_TRUE(engine.results().Contains("RPx|a"));
   EXPECT_EQ(engine.results().cell("P|b").reps.size(), 4u);
 }
@@ -236,7 +236,7 @@ TEST(DiscoveryEngineTest, LazyDatasetFactoryMatchesEagerDataset) {
   ASSERT_EQ(lazy_job->state(), JobState::kDone);
   ASSERT_EQ(eager_job->state(), JobState::kDone);
   // Bitwise-identical generated data shares the cache entry...
-  EXPECT_EQ(engine.metamodel_cache().fit_count(), 1);
+  EXPECT_EQ(engine.metamodel_cache().misses(), 1u);
   // ...and therefore the exact same discovered scenario.
   EXPECT_TRUE(lazy_job->output().last_box == eager_job->output().last_box);
 }

@@ -1,13 +1,9 @@
-// LruMap semantics and the bounded metamodel cache: max-entries eviction,
-// recency updates, and the hit/miss/eviction statistics accessors.
+// LruMap semantics: max-entries eviction, recency updates, and the
+// eviction count (engine::CacheTier builds on it; see cache_tier_test).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
 #include <string>
-#include <thread>
 
-#include "engine/metamodel_cache.h"
 #include "util/lru_map.h"
 
 namespace reds {
@@ -86,113 +82,6 @@ TEST(LruMapTest, EraseAndClearAreNotEvictions) {
   map.Clear();
   EXPECT_EQ(map.size(), 0u);
   EXPECT_EQ(map.evictions(), 0u);
-}
-
-namespace fake {
-
-// Minimal metamodel: the cache only stores pointers, never predicts.
-class StubModel : public ml::Metamodel {
- public:
-  void Fit(const Dataset&, uint64_t) override {}
-  double PredictProb(const double*) const override { return 0.5; }
-  int num_features() const override { return 1; }
-};
-
-std::shared_ptr<const ml::Metamodel> MakeStub() {
-  return std::make_shared<StubModel>();
-}
-
-engine::MetamodelKey KeyFor(uint64_t fingerprint) {
-  engine::MetamodelKey key;
-  key.fingerprint = fingerprint;
-  return key;
-}
-
-}  // namespace fake
-
-TEST(MetamodelCacheLruTest, EvictsBeyondCapacityAndRefits) {
-  engine::MetamodelCache cache(/*capacity=*/2);
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);
-  cache.GetOrFit(fake::KeyFor(2), fake::MakeStub);
-  cache.GetOrFit(fake::KeyFor(3), fake::MakeStub);  // evicts key 1
-  EXPECT_EQ(cache.size(), 2);
-  EXPECT_EQ(cache.fit_count(), 3);
-  EXPECT_EQ(cache.eviction_count(), 1u);
-
-  // Key 1 was evicted: asking again is a miss that refits (and evicts 2).
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);
-  EXPECT_EQ(cache.fit_count(), 4);
-  EXPECT_EQ(cache.eviction_count(), 2u);
-  // Keys 3 and 1 are resident: both hit without fitting.
-  cache.GetOrFit(fake::KeyFor(3), fake::MakeStub);
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);
-  EXPECT_EQ(cache.fit_count(), 4);
-  EXPECT_EQ(cache.hit_count(), 2);
-}
-
-TEST(MetamodelCacheLruTest, HitsRefreshRecency) {
-  engine::MetamodelCache cache(/*capacity=*/2);
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);
-  cache.GetOrFit(fake::KeyFor(2), fake::MakeStub);
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);  // hit: 1 most recent
-  cache.GetOrFit(fake::KeyFor(3), fake::MakeStub);  // evicts 2, not 1
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);  // still resident
-  EXPECT_EQ(cache.fit_count(), 3);
-  EXPECT_EQ(cache.hit_count(), 2);
-}
-
-TEST(MetamodelCacheLruTest, StatsSnapshot) {
-  engine::MetamodelCache cache(/*capacity=*/4);
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);
-  cache.GetOrFit(fake::KeyFor(1), fake::MakeStub);
-  const engine::MetamodelCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.fits, 1);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.size, 1);
-  EXPECT_EQ(stats.capacity, 4u);
-  EXPECT_EQ(cache.capacity(), 4u);
-}
-
-TEST(MetamodelCacheLruTest, InFlightFitSurvivesEvictionPressure) {
-  // An in-flight fit is pinned: even with capacity 1 and other keys
-  // churning the LRU, a racing request for the same key must wait on the
-  // one running fit instead of training a duplicate.
-  engine::MetamodelCache cache(/*capacity=*/1);
-  std::atomic<bool> release{false};
-  std::atomic<int> slow_fits{0};
-
-  std::thread slow([&] {
-    cache.GetOrFit(fake::KeyFor(100), [&] {
-      slow_fits.fetch_add(1);
-      while (!release.load()) std::this_thread::yield();
-      return fake::MakeStub();
-    });
-  });
-  // Churn the (capacity 1) completed-model LRU while key 100 is fitting.
-  while (slow_fits.load() == 0) std::this_thread::yield();
-  for (uint64_t i = 0; i < 8; ++i) cache.GetOrFit(fake::KeyFor(i), fake::MakeStub);
-
-  std::thread waiter([&] {
-    // Must join the in-flight fit (a hit), not start a second one.
-    cache.GetOrFit(fake::KeyFor(100), [&] {
-      slow_fits.fetch_add(1);
-      return fake::MakeStub();
-    });
-  });
-  release.store(true);
-  slow.join();
-  waiter.join();
-  EXPECT_EQ(slow_fits.load(), 1);
-}
-
-TEST(MetamodelCacheLruTest, UnboundedByDefault) {
-  engine::MetamodelCache cache;
-  for (uint64_t i = 0; i < 300; ++i) {
-    cache.GetOrFit(fake::KeyFor(i), fake::MakeStub);
-  }
-  EXPECT_EQ(cache.size(), 300);
-  EXPECT_EQ(cache.eviction_count(), 0u);
 }
 
 }  // namespace
