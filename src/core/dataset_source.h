@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,15 @@ class DatasetSource {
   /// Produces the next block of at most `max_rows` rows (the source owns
   /// the backing buffers). An empty block signals the end of the stream.
   virtual Result<RowBlock> NextBlock(int max_rows) = 0;
+
+  /// A 64-bit name for the exact row sequence this source yields, known
+  /// without reading it; none (the default) when only the rows themselves
+  /// can tell. A source may claim one only when its rows are a pure
+  /// function of the fields it hashes -- a generator's full description,
+  /// never a file path, whose bytes can change under it. Equal identities
+  /// must mean bitwise-equal streams: the engine serves a warm streamed
+  /// request from its ingest tier on the identity alone, without a pass.
+  virtual std::optional<uint64_t> identity() const { return std::nullopt; }
 };
 
 /// Drains a source into a materialized Dataset (the exact in-memory path;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -248,6 +249,8 @@ DiscoveryEngine::DiscoveryEngine(EngineConfig config)
                       "cache.index.binned"),
       streamed_indexes_(config.binned_index_cache_capacity, &metrics_,
                         "cache.index.streamed"),
+      ingested_(config.binned_index_cache_capacity, &metrics_,
+                "cache.ingest"),
       relabel_streams_(config.relabel_stream_cache_capacity, &metrics_,
                        "cache.relabel"),
       pool_(config.threads, &metrics_, "engine.pool") {
@@ -435,6 +438,17 @@ std::shared_ptr<const BinnedIndex> DiscoveryEngine::GetBinnedIndex(
 }
 
 StreamedTrainData DiscoveryEngine::IngestSource(DatasetSource* source) {
+  const std::optional<uint64_t> identity = source->identity();
+  if (!identity) return ReadSource(source);
+  // The identity names the exact row sequence, so a resident entry is what
+  // reading the source would produce. A miss reads it (determinism check
+  // included); a throwing read is not cached and the next call retries.
+  return *ingested_.Get(*identity, [&] {
+    return std::make_shared<const StreamedTrainData>(ReadSource(source));
+  });
+}
+
+StreamedTrainData DiscoveryEngine::ReadSource(DatasetSource* source) {
   obs::Span ingest_span("ingest.source");
   // Pass 1 -- identity: incremental fingerprints over the chunk stream
   // (the same byte layout the in-memory path hashes, so eager and

@@ -307,11 +307,14 @@ class DiscoveryEngine {
   /// Number of distinct streamed REDS relabelings currently cached.
   int relabel_stream_cache_size() const;
 
-  /// Ingests a training source through the streaming data plane: one
-  /// hashing pass for the fingerprints and labels, then the index from the
-  /// in-memory LRU, the persistent tier, or (cold) a BuildStreamed over
-  /// the source. Warm calls touch the source exactly once and build
-  /// nothing. Throws on undrainable or non-deterministic sources.
+  /// Ingests a training source through the streaming data plane. A source
+  /// with an identity() that is resident in the ingest tier is served from
+  /// it without reading a single row. Otherwise: one hashing pass for the
+  /// fingerprints and labels, then the index from the in-memory LRU, the
+  /// persistent tier, or (cold) a BuildStreamed over the source -- so warm
+  /// calls on sources without an identity touch the source exactly once
+  /// and build nothing. Throws on undrainable or non-deterministic sources
+  /// (and caches nothing for them).
   StreamedTrainData IngestSource(DatasetSource* source);
 
   /// The engine's shared per-dataset index (building and caching it on
@@ -368,6 +371,8 @@ class DiscoveryEngine {
   void InstallRelabelStreamHook(RunOptions* options);
   std::shared_ptr<const ColumnIndex> GetColumnIndex(const Dataset& d,
                                                     uint64_t fingerprint);
+  /// IngestSource's read path: fingerprint pass plus streamed-index tier.
+  StreamedTrainData ReadSource(DatasetSource* source);
 
   EngineConfig config_;
   // First member: every other subsystem (caches, pool) holds pointers into
@@ -397,6 +402,9 @@ class DiscoveryEngine {
   // the bin budget the two packings differ, and streamed requests must
   // always see streamed bins (warm == cold).
   CacheTier<uint64_t, BinnedIndex> streamed_indexes_;
+  // Whole ingest results of sources that vouch for their rows, keyed by
+  // DatasetSource::identity(): a hit skips the fingerprint pass too.
+  CacheTier<uint64_t, StreamedTrainData> ingested_;
   // Finished streamed REDS relabelings, keyed by the engine-folded relabel
   // cache key (see InstallRelabelStreamHook). Entries share their index's
   // bytes with nothing else: the relabeled stream is request-recipe-keyed,

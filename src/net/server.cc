@@ -636,10 +636,7 @@ Status DiscoveryServer::ValidateSubmit(const SubmitRequest& msg) const {
 
 Result<std::shared_ptr<const Dataset>> DiscoveryServer::EagerDataset(
     const shard::SourceSpec& spec) {
-  util::ByteWriter key_bytes;
-  spec.SerializeTo(&key_bytes);
-  const uint64_t key =
-      util::Fnv64(key_bytes.data().data(), key_bytes.size());
+  const uint64_t key = spec.Identity();
   // Built under the lock: a concurrent burst of identical specs
   // materializes once, which in turn is what lets the burst's engine
   // submissions coalesce (same Dataset pointer, same fingerprint).

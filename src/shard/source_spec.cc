@@ -40,6 +40,13 @@ Result<SourceSpec> SourceSpec::DeserializeFrom(util::ByteReader* in) {
   return spec;
 }
 
+uint64_t SourceSpec::Identity() const {
+  util::ByteWriter bytes;
+  bytes.Str("reds.shard.SourceSpec");
+  SerializeTo(&bytes);
+  return util::Fnv64(bytes.data().data(), bytes.size());
+}
+
 SyntheticBlockSource::SyntheticBlockSource(const SourceSpec& spec,
                                            int num_shards, int shard_index)
     : spec_(spec),
@@ -61,6 +68,13 @@ int64_t SyntheticBlockSource::num_rows_hint() const {
                               spec_.rows - b * spec_.block_rows);
   }
   return rows;
+}
+
+std::optional<uint64_t> SyntheticBlockSource::identity() const {
+  util::ByteWriter stride;
+  stride.I32(num_shards_);
+  stride.I32(shard_index_);
+  return util::Fnv64(stride.data().data(), stride.size(), spec_.Identity());
 }
 
 Status SyntheticBlockSource::Reset() {

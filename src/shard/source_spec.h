@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,10 @@ struct SourceSpec {
 
   void SerializeTo(util::ByteWriter* out) const;
   static Result<SourceSpec> DeserializeFrom(util::ByteReader* in);
+
+  /// 64-bit hash of a domain tag and the full serialization: equal specs
+  /// agree, a change to any field changes it.
+  uint64_t Identity() const;
 };
 
 /// Deterministic block generator: block b of `block_rows` rows is produced
@@ -63,6 +68,9 @@ class SyntheticBlockSource : public DatasetSource {
   int64_t num_rows_hint() const override;
   Status Reset() override;
   Result<RowBlock> NextBlock(int max_rows) override;
+  /// The spec's Identity() folded with the stride: the rows are a pure
+  /// function of exactly the spec, num_shards and shard_index.
+  std::optional<uint64_t> identity() const override;
 
  private:
   int64_t NumBlocks() const;

@@ -3,16 +3,20 @@
 // (eager, lazy, and streamed requests over bitwise-equal data train once),
 // runs untuned plain PRIM without ever materializing the matrix, and --
 // with a persistent tier -- serves a warm streamed REDS request with zero
-// training and zero index builds.
+// training and zero index builds. Sources that vouch for their rows with an
+// identity() are served warm without being read at all.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/dataset_source.h"
 #include "engine/discovery_engine.h"
+#include "shard/source_spec.h"
 #include "util/rng.h"
 
 namespace reds::engine {
@@ -152,6 +156,89 @@ TEST(EngineStreamedTest, RepeatSourceIngestIndexesOnce) {
   EXPECT_EQ(engine.streamed_index_cache_size(), 1);
 }
 
+// A SyntheticBlockSource that counts every row-touching call; identity()
+// is inherited, so the engine sees the generator's own identity.
+class CountingSource : public shard::SyntheticBlockSource {
+ public:
+  CountingSource(const shard::SourceSpec& spec, int* calls)
+      : SyntheticBlockSource(spec, 1, 0), calls_(calls) {}
+  Status Reset() override {
+    ++*calls_;
+    return SyntheticBlockSource::Reset();
+  }
+  Result<RowBlock> NextBlock(int max_rows) override {
+    ++*calls_;
+    return SyntheticBlockSource::NextBlock(max_rows);
+  }
+
+ private:
+  int* calls_;
+};
+
+uint64_t CounterValue(DiscoveryEngine& engine, const std::string& name) {
+  return engine.metrics().counter(name)->Value();
+}
+
+TEST(EngineStreamedTest, IdentifiedSourceSkipsIngestWhenWarm) {
+  shard::SourceSpec spec;
+  spec.rows = 20000;
+  spec.dims = 3;
+  spec.distinct = 16;
+  spec.seed = 7;
+  EngineConfig config;
+  config.threads = 2;
+  config.stream_block_rows = spec.block_rows;
+  config.trace_dir = FreshDir("identified_traces");
+  DiscoveryEngine engine(config);
+
+  int cold_calls = 0;
+  CountingSource cold(spec, &cold_calls);
+  const StreamedTrainData a = engine.IngestSource(&cold);
+  EXPECT_GT(cold_calls, 0);
+
+  // Warm: served on the identity alone -- not one row read, and the
+  // streamed-index tier is not even consulted.
+  const uint64_t index_lookups =
+      CounterValue(engine, "cache.index.streamed.hits") +
+      CounterValue(engine, "cache.index.streamed.misses");
+  int warm_calls = 0;
+  CountingSource warm(spec, &warm_calls);
+  const StreamedTrainData b = engine.IngestSource(&warm);
+  EXPECT_EQ(warm_calls, 0);
+  EXPECT_EQ(a.index.get(), b.index.get());
+  EXPECT_EQ(a.y.get(), b.y.get());
+  EXPECT_EQ(a.fingerprint, b.fingerprint);
+  EXPECT_EQ(a.input_fingerprint, b.input_fingerprint);
+  EXPECT_EQ(CounterValue(engine, "cache.ingest.hits"), 1u);
+  EXPECT_EQ(CounterValue(engine, "cache.ingest.misses"), 1u);
+  EXPECT_EQ(CounterValue(engine, "cache.index.streamed.hits") +
+                CounterValue(engine, "cache.index.streamed.misses"),
+            index_lookups);
+
+  // A streamed job on the same spec skips ingestion entirely: its trace
+  // has no ingest span and its source is never read.
+  int job_calls = 0;
+  DiscoveryRequest request;
+  request.method = "P";
+  request.options = FastOptions();
+  request.make_train_source = [&]() -> std::unique_ptr<DatasetSource> {
+    return std::make_unique<CountingSource>(spec, &job_calls);
+  };
+  const auto job = engine.Submit(std::move(request));
+  job->Wait();
+  ASSERT_EQ(job->state(), JobState::kDone) << job->error();
+  EXPECT_EQ(job_calls, 0);
+  EXPECT_EQ(CounterValue(engine, "cache.ingest.hits"), 2u);
+#ifndef REDS_OBS_NOOP
+  ASSERT_NE(job->trace(), nullptr);
+  EXPECT_EQ(job->trace()->CountEvents("ingest.source"), 0);
+  EXPECT_EQ(job->trace()->CountEvents("ingest.fingerprint"), 0);
+  EXPECT_GE(job->trace()->CountEvents("prim.peel"), 1);
+#endif
+  engine.Shutdown();
+  std::filesystem::remove_all(config.trace_dir);
+}
+
 TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
   const auto data = MakeGridData(250, 4, 4);
   const std::string dir = FreshDir("warm_reds");
@@ -210,58 +297,75 @@ TEST(EngineStreamedTest, WarmEngineServesStreamedRedsWithZeroWork) {
   std::filesystem::remove_all(dir);
 }
 
+// Yields different rows on every pass: a source that would poison the
+// caches keyed by its first pass. `identity` is what it claims to be.
+class FlakySource : public DatasetSource {
+ public:
+  explicit FlakySource(std::optional<uint64_t> identity = std::nullopt)
+      : identity_(identity) {}
+  int num_cols() const override { return 2; }
+  std::optional<uint64_t> identity() const override { return identity_; }
+  Status Reset() override {
+    emitted_ = false;
+    return Status::OK();
+  }
+  Result<RowBlock> NextBlock(int max_rows) override {
+    (void)max_rows;
+    if (emitted_) return RowBlock{};
+    emitted_ = true;
+    x_.clear();
+    y_.clear();
+    for (int i = 0; i < 64; ++i) {
+      x_.push_back(rng_.Uniform());  // new draws on every pass
+      x_.push_back(rng_.Uniform());
+      y_.push_back(i % 2 == 0 ? 1.0 : 0.0);
+    }
+    RowBlock block;
+    block.x = la::ConstMatrixView(x_.data(), 64, 2);
+    block.y = y_.data();
+    return block;
+  }
+
+ private:
+  std::optional<uint64_t> identity_;
+  Rng rng_{99};
+  bool emitted_ = false;
+  std::vector<double> x_, y_;
+};
+
 TEST(EngineStreamedTest, NonDeterministicSourceFailsLoudly) {
-  // A source that yields different rows on every pass would poison the
-  // caches keyed by its first pass; the engine must reject it.
-  class FlakySource : public DatasetSource {
-   public:
-    int num_cols() const override { return 2; }
-    Status Reset() override { return Status::OK(); }
-    Result<RowBlock> NextBlock(int max_rows) override {
-      if (emitted_) {
-        RowBlock done;
-        return done;
-      }
-      emitted_ = true;
-      x_.clear();
-      y_.clear();
-      for (int i = 0; i < 64; ++i) {
-        x_.push_back(rng_.Uniform());  // new draws on every pass
-        x_.push_back(rng_.Uniform());
-        y_.push_back(i % 2 == 0 ? 1.0 : 0.0);
-      }
-      (void)max_rows;
-      RowBlock block;
-      block.x = la::ConstMatrixView(x_.data(), 64, 2);
-      block.y = y_.data();
-      emitted_ = true;
-      return block;
-    }
-    Status ResetCounter() {
-      emitted_ = false;
-      return Status::OK();
-    }
-
-   private:
-    Rng rng_{99};
-    bool emitted_ = false;
-    std::vector<double> x_, y_;
-  };
-
   DiscoveryEngine engine({/*threads=*/2});
   DiscoveryRequest request;
   request.method = "P";
   request.options = FastOptions();
   request.make_train_source = []() -> std::unique_ptr<DatasetSource> {
-    struct Wrapper : FlakySource {
-      Status Reset() override { return ResetCounter(); }
-    };
-    return std::make_unique<Wrapper>();
+    return std::make_unique<FlakySource>();
   };
   const auto job = engine.Submit(std::move(request));
   job->Wait();
   ASSERT_EQ(job->state(), JobState::kFailed);
   EXPECT_NE(job->error().find("deterministic"), std::string::npos);
+}
+
+TEST(EngineStreamedTest, FlakySourceClaimingIdentityIsNeverCached) {
+  // Claiming an identity does not skip the cold determinism check: the
+  // failed read is not cached, so the next call reads (and fails) again.
+  EngineConfig config;
+  config.threads = 1;
+  DiscoveryEngine engine(config);
+  for (int attempt = 1; attempt <= 2; ++attempt) {
+    FlakySource source(/*identity=*/42);
+    try {
+      engine.IngestSource(&source);
+      ADD_FAILURE() << "attempt " << attempt << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("not deterministic"),
+                std::string::npos);
+    }
+    EXPECT_EQ(CounterValue(engine, "cache.ingest.misses"),
+              static_cast<uint64_t>(attempt));
+  }
+  EXPECT_EQ(CounterValue(engine, "cache.ingest.hits"), 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -212,6 +213,67 @@ TEST(NetServerTest, StreamedSubmitStreamsTrajectoryBoxes) {
             static_cast<size_t>(result->done.trajectory_len));
   ASSERT_FALSE(result->boxes.empty());
   EXPECT_TRUE(result->boxes.back() == result->done.last_box);
+}
+
+TEST(NetServerTest, WarmStreamedSubmitSkipsIngest) {
+  engine::EngineConfig engine_config = EngineCfg(2);
+  // Tracing feeds the stage.* histograms the ingest pass is counted in.
+  engine_config.trace_dir = ::testing::TempDir() + "reds_net_ingest_traces";
+  std::filesystem::remove_all(engine_config.trace_dir);
+  engine::DiscoveryEngine engine(engine_config);
+  ServerConfig config;
+  config.address = UnixAddr("warm_stream");
+  DiscoveryServer server(&engine, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect(server.address()).ok());
+  ASSERT_TRUE(client.Hello("warm-stream-test").ok());
+
+  const SubmitRequest first =
+      WireRequest(1, /*seed=*/17, DataMode::kStreamedSource);
+  ASSERT_TRUE(client.Submit(first).ok());
+  Result<RequestResult> cold = client.WaitResult(1);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_FALSE(cold->done.failed) << cold->done.error;
+
+  // Same source, new alpha: the result cache misses, the engine runs, and
+  // its ingest tier serves the source without a pass over it.
+  const uint64_t ingest_passes =
+      engine.metrics().HistogramData("stage.ingest.source").count;
+  const uint64_t ingest_hits = Counter(engine, "cache.ingest.hits");
+#ifndef REDS_OBS_NOOP
+  EXPECT_EQ(ingest_passes, 1u);
+#endif
+  SubmitRequest second = first;
+  second.request_id = 2;
+  second.alpha = 0.1;
+  ASSERT_TRUE(client.Submit(second).ok());
+  Result<RequestResult> warm = client.WaitResult(2);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_FALSE(warm->done.failed) << warm->done.error;
+  EXPECT_EQ(engine.metrics().HistogramData("stage.ingest.source").count,
+            ingest_passes);
+  EXPECT_EQ(Counter(engine, "cache.ingest.hits"), ingest_hits + 1);
+
+  // The warm answer is the one a fresh engine computes by reading the
+  // source.
+  engine::DiscoveryEngine fresh(EngineCfg(1));
+  engine::DiscoveryRequest direct = DirectRequest(second);
+  direct.train.reset();
+  const shard::SourceSpec spec = second.source;
+  direct.make_train_source = [spec] {
+    return std::move(shard::MakeSource(spec, 1, 0).value());
+  };
+  engine::JobHandle reference = fresh.Submit(std::move(direct));
+  reference->Wait();
+  ASSERT_EQ(reference->state(), engine::JobState::kDone) << reference->error();
+  EXPECT_EQ(Counter(fresh, "cache.ingest.misses"), 1u);
+  EXPECT_TRUE(reference->output().last_box == warm->done.last_box);
+  EXPECT_EQ(reference->output().trajectory.size(),
+            static_cast<size_t>(warm->done.trajectory_len));
+  server.Stop();
+  std::filesystem::remove_all(engine_config.trace_dir);
 }
 
 TEST(NetServerTest, HelloRequiredBeforeAnythingElse) {

@@ -10,6 +10,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,6 +210,79 @@ TEST(ShardSourceTest, WrongBlockSizeIsRejected) {
   const SourceSpec spec = TestSpec();
   SyntheticBlockSource source(spec, 1, 0);
   EXPECT_FALSE(source.NextBlock(spec.block_rows + 1).ok());
+}
+
+TEST(ShardSourceTest, EqualSpecsShareOneIdentity) {
+  const SourceSpec spec = TestSpec();
+  EXPECT_EQ(spec.Identity(), TestSpec().Identity());
+  const SyntheticBlockSource a(spec, 1, 0);
+  const SyntheticBlockSource b(TestSpec(), 1, 0);
+  ASSERT_TRUE(a.identity().has_value());
+  EXPECT_EQ(a.identity(), b.identity());
+}
+
+TEST(ShardSourceTest, EveryIdentityFieldChangesTheIdentity) {
+  const std::vector<std::function<void(SourceSpec*)>> edits = {
+      [](SourceSpec* s) { s->kind = SourceSpec::Kind::kCsv; },
+      [](SourceSpec* s) { s->block_rows += 1; },
+      [](SourceSpec* s) { s->rows += 1; },
+      [](SourceSpec* s) { s->dims += 1; },
+      [](SourceSpec* s) { s->distinct += 1; },
+      [](SourceSpec* s) { s->seed += 1; },
+      [](SourceSpec* s) { s->path = "x.csv"; },
+  };
+  const SourceSpec base = TestSpec();
+  std::set<uint64_t> seen = {base.Identity()};
+  for (size_t i = 0; i < edits.size(); ++i) {
+    SourceSpec edited = base;
+    edits[i](&edited);
+    EXPECT_TRUE(seen.insert(edited.Identity()).second) << "edit " << i;
+  }
+
+  // The stride is part of a source's identity: every shard of every fleet
+  // size names a different row sequence.
+  std::set<uint64_t> strides;
+  for (int shards = 1; shards <= 3; ++shards) {
+    for (int index = 0; index < shards; ++index) {
+      const SyntheticBlockSource source(base, shards, index);
+      EXPECT_TRUE(strides.insert(*source.identity()).second)
+          << shards << " shards, index " << index;
+    }
+  }
+}
+
+TEST(ShardSourceTest, DataBackedSourcesClaimNoIdentity) {
+  // A file can change under its path and a matrix is only its bytes, so
+  // none of these may vouch for its rows.
+  auto data = std::make_shared<Dataset>(2);
+  data->AddRow({0.1, 0.2}, 1.0);
+  EXPECT_FALSE(MatrixSource(data).identity().has_value());
+  // Relabeling changes the rows, so a wrapped generator's identity does
+  // not carry over.
+  SyntheticBlockSource generator(TestSpec(), 1, 0);
+  EXPECT_FALSE(LabelingSource(&generator, [](const double*) { return 1.0; })
+                   .identity()
+                   .has_value());
+
+  const std::string path = ::testing::TempDir() + "reds_identity_test.csv";
+  {
+    std::ofstream out(path);
+    out << "a,b,y\n0.1,0.2,1\n";
+  }
+  Result<std::unique_ptr<CsvFileSource>> csv = CsvFileSource::Open(path);
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  EXPECT_FALSE((*csv)->identity().has_value());
+
+  SourceSpec spec;
+  spec.kind = SourceSpec::Kind::kCsv;
+  spec.block_rows = 1;
+  spec.path = path;
+  for (int shards : {1, 2}) {
+    Result<std::unique_ptr<DatasetSource>> made = MakeSource(spec, shards, 0);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    EXPECT_FALSE((*made)->identity().has_value()) << shards << " shards";
+  }
+  std::filesystem::remove(path);
 }
 
 // Satellite: global bins are identical whatever the partition -- any
