@@ -615,6 +615,100 @@ KernelResult BenchRedsRelabelStreamed(const PerfFlags& flags) {
   return result;
 }
 
+// --- REDS labeling, one metamodel family: the per-row MetamodelLabel ----
+// loop (the golden reference) vs MetamodelLabelBlock, which labels the
+// whole point set through Metamodel::PredictBlock. Untuned default model
+// on N=400, probability labels (every bit of the prediction is compared);
+// the labels must match bit for bit.
+KernelResult BenchRelabelLabel(const PerfFlags& flags, ml::MetamodelKind kind) {
+  KernelResult result;
+  result.name = "relabel_label_" + ml::MetamodelSuffix(kind);
+  const int n = std::min(400, flags.n_train);
+  const Dataset train = RandomData(n, flags.dims, flags.seed + 13);
+  const std::unique_ptr<ml::Metamodel> model =
+      ml::FitDefault(kind, train, flags.seed + 14);
+  const Dataset points =
+      RandomData(flags.l_points, flags.dims, flags.seed + 15);
+  const int rows = points.num_rows();
+  result.detail = "N=" + std::to_string(n) + " L=" + std::to_string(rows) +
+                  " d=" + std::to_string(flags.dims) + " untuned";
+
+  std::vector<double> ref(static_cast<size_t>(rows));
+  std::vector<double> opt(static_cast<size_t>(rows));
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    for (int i = 0; i < rows; ++i) {
+      ref[static_cast<size_t>(i)] =
+          MetamodelLabel(*model, points.row(i), /*probability_labels=*/true);
+    }
+  });
+  result.optimized_seconds = TimeBest(flags.reps, [&] {
+    MetamodelLabelBlock(*model, points.row(0), rows,
+                        /*probability_labels=*/true, opt.data());
+  });
+  result.identical =
+      std::memcmp(ref.data(), opt.data(), ref.size() * sizeof(double)) == 0;
+  return result;
+}
+
+// --- Streamed quantizer, sketch regime: bin bounds by one QueryRank per --
+// rank plus a binary-search StreamedCodeOf per value (the golden
+// references) vs StreamedBinUpperBounds' one-sweep QueryRanks plus the
+// StreamedCoder bucket table. The sketches are built once, untimed;
+// bounds and codes must be identical.
+KernelResult BenchStreamedQuantize(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "streamed_quantize";
+  const Dataset data = RandomData(flags.l_points, flags.dims, flags.seed + 16);
+  const int n = data.num_rows();
+  const int m = data.num_cols();
+  const int cap = BinnedIndex::kMaxBins;
+  std::vector<ColumnSketch> sketches(static_cast<size_t>(m),
+                                     ColumnSketch(1.0 / 2048.0));
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < m; ++j) {
+      sketches[static_cast<size_t>(j)].AddValue(data.x(i, j), cap);
+    }
+  }
+  result.detail = "L=" + std::to_string(n) + " d=" + std::to_string(m) +
+                  " bins=" + std::to_string(cap) + " sketch regime";
+
+  using Quantized = std::pair<std::vector<std::vector<double>>,
+                              std::vector<std::vector<uint8_t>>>;
+  Quantized ref, opt;
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    ref.first.assign(static_cast<size_t>(m), {});
+    ref.second.assign(static_cast<size_t>(m), {});
+    for (int j = 0; j < m; ++j) {
+      std::vector<double>& ub = ref.first[static_cast<size_t>(j)];
+      for (int b = 1; b < cap; ++b) {
+        const double v = sketches[static_cast<size_t>(j)].sketch.QueryRank(
+            static_cast<int64_t>(b) * n / cap);
+        if (ub.empty() || v > ub.back()) ub.push_back(v);
+      }
+      ub.push_back(std::numeric_limits<double>::infinity());
+      std::vector<uint8_t>& codes = ref.second[static_cast<size_t>(j)];
+      codes.reserve(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        codes.push_back(StreamedCodeOf(ub, data.x(i, j)));
+      }
+    }
+  });
+  result.optimized_seconds = TimeBest(flags.reps, [&] {
+    opt.first.assign(static_cast<size_t>(m), {});
+    opt.second.assign(static_cast<size_t>(m), {});
+    for (int j = 0; j < m; ++j) {
+      std::vector<double>& ub = opt.first[static_cast<size_t>(j)];
+      ub = StreamedBinUpperBounds(&sketches[static_cast<size_t>(j)], n, cap);
+      const StreamedCoder coder(ub);
+      std::vector<uint8_t>& codes = opt.second[static_cast<size_t>(j)];
+      codes.reserve(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) codes.push_back(coder.Code(data.x(i, j)));
+    }
+  });
+  result.identical = ref == opt;
+  return result;
+}
+
 // --- End-to-end REDS discovery ("RPx"): the materialized data plan vs ----
 // the streamed one inside RunMethod itself (metamodel fit + relabel +
 // index + peel). On grid-sampled points both plans must discover the
@@ -1322,6 +1416,14 @@ int main(int argc, char** argv) {
   maybe("prim_peel_streamed", [&] { return BenchPrimStreamed(flags); });
   maybe("reds_relabel_streamed",
         [&] { return BenchRedsRelabelStreamed(flags); });
+  maybe("relabel_label_f", [&] {
+    return BenchRelabelLabel(flags, ml::MetamodelKind::kRandomForest);
+  });
+  maybe("relabel_label_x",
+        [&] { return BenchRelabelLabel(flags, ml::MetamodelKind::kGbt); });
+  maybe("relabel_label_s",
+        [&] { return BenchRelabelLabel(flags, ml::MetamodelKind::kSvm); });
+  maybe("streamed_quantize", [&] { return BenchStreamedQuantize(flags); });
   maybe("method_reds_streamed_e2e",
         [&] { return BenchMethodRedsStreamed(flags); });
   maybe("metrics_overhead", [&] { return BenchMetricsOverhead(flags); });

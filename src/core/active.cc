@@ -27,7 +27,9 @@ Dataset RunActiveSampling(int dim, const LabelOracle& oracle,
     }
   }
 
-  std::vector<double> point(static_cast<size_t>(dim));
+  std::vector<double> points(static_cast<size_t>(config.pool_size) *
+                             static_cast<size_t>(dim));
+  std::vector<double> prob(static_cast<size_t>(config.pool_size));
   for (int round = 0; round < config.rounds; ++round) {
     // A fresh metamodel on everything labeled so far.
     const auto model =
@@ -39,12 +41,18 @@ Dataset RunActiveSampling(int dim, const LabelOracle& oracle,
       std::vector<double> x;
       double uncertainty;
     };
+    // Sample the whole pool, then score it in one block: prediction draws
+    // no random numbers, so the RNG sequence is unchanged.
+    for (int i = 0; i < config.pool_size; ++i) {
+      sampler(&rng, dim, points.data() + static_cast<size_t>(i) * dim);
+    }
+    model->PredictBlock(points.data(), config.pool_size, prob.data());
     std::vector<Candidate> pool;
     pool.reserve(static_cast<size_t>(config.pool_size));
     for (int i = 0; i < config.pool_size; ++i) {
-      sampler(&rng, dim, point.data());
-      const double p = model->PredictProb(point.data());
-      pool.push_back({point, p * (1.0 - p)});
+      const double* x = points.data() + static_cast<size_t>(i) * dim;
+      const double p = prob[static_cast<size_t>(i)];
+      pool.push_back({std::vector<double>(x, x + dim), p * (1.0 - p)});
     }
     const int take = std::min(config.batch_size, config.pool_size);
     std::partial_sort(pool.begin(), pool.begin() + take, pool.end(),

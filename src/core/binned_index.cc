@@ -1,6 +1,7 @@
 #include "core/binned_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -202,14 +203,40 @@ std::vector<double> StreamedBinUpperBounds(ColumnSketch* summary, int64_t n,
     ub = std::move(summary->distinct);
     return ub;
   }
+  std::vector<int64_t> ranks;
+  ranks.reserve(static_cast<size_t>(cap));
   for (int b = 1; b < cap; ++b) {
-    const int64_t rank = static_cast<int64_t>(b) * n / cap;
-    const double v = summary->sketch.QueryRank(rank);
+    ranks.push_back(static_cast<int64_t>(b) * n / cap);
+  }
+  for (const double v : summary->sketch.QueryRanks(ranks)) {
     if (ub.empty() || v > ub.back()) ub.push_back(v);
   }
   // Catch-all last bin; its recorded bounds come from the coding pass.
   ub.push_back(std::numeric_limits<double>::infinity());
   return ub;
+}
+
+StreamedCoder::StreamedCoder(std::vector<double> upper)
+    : upper_(std::move(upper)), first_bin_(kBuckets, 0) {
+  assert(!upper_.empty() && upper_.size() <= BinnedIndex::kMaxBins);
+  for (const double u : upper_) reference_ = reference_ || std::isnan(u);
+  if (reference_) return;
+  lo_ = upper_.front();
+  // The +inf catch-all bound would make every bucket infinitely wide.
+  const double hi = upper_.size() > 1 && std::isinf(upper_.back())
+                        ? upper_[upper_.size() - 2]
+                        : upper_.back();
+  const double width = hi - lo_;
+  if (width > 0.0 && std::isfinite(width)) {
+    scale_ = static_cast<double>(kBuckets) / width;
+  }
+  // first_bin_[k]: bins whose bound falls in a bucket below k (all of them
+  // lie below every value of bucket k), clamped like StreamedCodeOf.
+  size_t b = 0;
+  for (size_t k = 0; k < kBuckets; ++k) {
+    while (b < upper_.size() && Bucket(upper_[b]) < k) ++b;
+    first_bin_[k] = static_cast<uint8_t>(std::min(b, upper_.size() - 1));
+  }
 }
 
 void BinCodingStats::Reset(size_t bins) {
@@ -464,6 +491,10 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
     stats[static_cast<size_t>(j)].Reset(upper[static_cast<size_t>(j)].size());
   }
 
+  std::vector<StreamedCoder> coders;
+  coders.reserve(static_cast<size_t>(m));
+  for (std::vector<double>& ub : upper) coders.emplace_back(std::move(ub));
+
   auto code_span = std::make_unique<obs::Span>("index.code_pass");
   ThreadPool* code_pool = (pool != nullptr && m > 1) ? pool.get() : nullptr;
   int64_t seen = 0;
@@ -479,12 +510,12 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
     }
     const double* x = block->x.data();
     auto code_column = [&, x, rows](int j) {
-      const std::vector<double>& ub = upper[static_cast<size_t>(j)];
+      const StreamedCoder& coder = coders[static_cast<size_t>(j)];
       std::vector<uint8_t>& codes = binned->codes_[static_cast<size_t>(j)];
       BinCodingStats& cs = stats[static_cast<size_t>(j)];
       for (int r = 0; r < rows; ++r) {
         const double v = x[static_cast<size_t>(r) * m + j];
-        const uint8_t b = StreamedCodeOf(ub, v);
+        const uint8_t b = coder.Code(v);
         codes.push_back(b);
         cs.Observe(b, v);
       }

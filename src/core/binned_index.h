@@ -174,6 +174,42 @@ inline uint8_t StreamedCodeOf(const std::vector<double>& upper, double v) {
   return static_cast<uint8_t>(b);
 }
 
+/// StreamedCodeOf for one column, without a binary search per value: the
+/// range between the first and the last finite bound is cut into kBuckets
+/// equal-width buckets, and each bucket records the first bin any of its
+/// values can land in; a short forward scan finishes the lookup. The
+/// bucket index is a monotone function of the value and the table is
+/// derived through that same function, so the answer never depends on
+/// rounding: Code(v) == StreamedCodeOf(upper, v) for every v, which stays
+/// the golden reference (and is used outright when a bound is NaN).
+class StreamedCoder {
+ public:
+  static constexpr size_t kBuckets = 4096;
+
+  explicit StreamedCoder(std::vector<double> upper);
+
+  uint8_t Code(double v) const {
+    if (reference_) return StreamedCodeOf(upper_, v);
+    size_t b = first_bin_[Bucket(v)];
+    while (b + 1 < upper_.size() && upper_[b] < v) ++b;
+    return static_cast<uint8_t>(b);
+  }
+
+ private:
+  size_t Bucket(double v) const {
+    if (!(v > lo_)) return 0;  // at or below the first bound, or NaN
+    const double pos = (v - lo_) * scale_;
+    return pos < static_cast<double>(kBuckets) ? static_cast<size_t>(pos)
+                                               : kBuckets - 1;
+  }
+
+  std::vector<double> upper_;
+  double lo_ = 0.0;
+  double scale_ = 0.0;
+  bool reference_ = false;
+  std::vector<uint8_t> first_bin_;  // [bucket] -> first candidate bin
+};
+
 /// Final per-column bin layout: empty raw bins dropped, exact first/last
 /// bounds, cumulative rank offsets (size live + 1), and the raw-bin ->
 /// final-bin remap. Deterministic function of the coding stats, so shards

@@ -104,12 +104,11 @@ void QuantileSketch::Flush() const {
 // One forward pass that greedily merges a tuple into its right neighbor
 // whenever the combined gap stays within the budget. The first and last
 // tuples always survive, keeping the stream minimum and maximum exact.
+// Compacts in place: the write cursor never passes the read cursor.
 void QuantileSketch::Compress() const {
   if (tuples_.size() < 3) return;
   const int64_t budget = GapBudget(n_);
-  std::vector<Tuple> out;
-  out.reserve(tuples_.size());
-  out.push_back(tuples_[0]);
+  size_t kept = 1;  // tuples_[0] stays put
   Tuple pending = tuples_[1];
   for (size_t i = 2; i < tuples_.size(); ++i) {
     Tuple next = tuples_[i];
@@ -121,12 +120,12 @@ void QuantileSketch::Compress() const {
       next.g += pending.g;
       pending = next;
     } else {
-      out.push_back(pending);
+      tuples_[kept++] = pending;
       pending = next;
     }
   }
-  out.push_back(pending);
-  tuples_ = std::move(out);
+  tuples_[kept++] = pending;
+  tuples_.resize(kept);
 }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
@@ -202,6 +201,52 @@ double QuantileSketch::QueryRank(int64_t rank) const {
     prev = t.v;
   }
   return tuples_.back().v;
+}
+
+std::vector<double> QuantileSketch::QueryRanks(
+    const std::vector<int64_t>& ranks) const {
+  Flush();
+  std::vector<double> out(ranks.size(), 0.0);
+  if (tuples_.empty()) return out;
+  const double allowed = eps_ * static_cast<double>(n_);
+  const size_t size = tuples_.size();
+  // QueryRank returns at the first tuple where either of its two tests
+  // fires, and both move forward monotonically with the rank:
+  //  * the generic bound (rmax > r1 + allowed) holds for fewer tuples as
+  //    r1 grows, so its first tuple `b` never moves back;
+  //  * the pure test can only fire at the tuple `k` whose rank range
+  //    (rmin - g, rmin] holds r1, the first with rmin >= r1.
+  // One sweep of both cursors therefore answers every ascending rank.
+  size_t b = 0, k = 0;
+  int64_t b_rmin = tuples_[0].g, k_rmin = tuples_[0].g;
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    assert((i == 0 || ranks[i] >= ranks[i - 1]) && "ranks must ascend");
+    const int64_t r1 = std::clamp<int64_t>(ranks[i], 0, n_ - 1) + 1;
+    if (r1 <= 1) {
+      out[i] = tuples_.front().v;
+      continue;
+    }
+    if (r1 >= n_) {
+      out[i] = tuples_.back().v;
+      continue;
+    }
+    while (b < size && !(static_cast<double>(b_rmin + tuples_[b].delta) >
+                         static_cast<double>(r1) + allowed)) {
+      if (++b < size) b_rmin += tuples_[b].g;
+    }
+    while (k < size && k_rmin < r1) {
+      if (++k < size) k_rmin += tuples_[k].g;
+    }
+    if (k <= b && k < size) {
+      const Tuple& t = tuples_[k];
+      if (t.pure && r1 > k_rmin - t.g + t.delta) {
+        out[i] = t.v;
+        continue;
+      }
+    }
+    out[i] = b >= size ? tuples_.back().v : tuples_[b == 0 ? 0 : b - 1].v;
+  }
+  return out;
 }
 
 double QuantileSketch::QueryQuantile(double q) const {

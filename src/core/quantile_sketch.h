@@ -53,6 +53,11 @@ class QuantileSketch {
   /// clamped to [0, count()-1]). The stream minimum and maximum are exact.
   double QueryRank(int64_t rank) const;
 
+  /// QueryRank of every rank in `ranks` (ascending) in one sweep of the
+  /// summary: out[i] == QueryRank(ranks[i]), which stays the golden
+  /// reference.
+  std::vector<double> QueryRanks(const std::vector<int64_t>& ranks) const;
+
   /// QueryRank at q * (count() - 1), q in [0, 1].
   double QueryQuantile(double q) const;
 

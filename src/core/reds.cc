@@ -28,24 +28,21 @@ std::shared_ptr<const ml::Metamodel> FitMetamodel(const Dataset& d,
                           config.tree_max_leaves);
 }
 
-Dataset LabelPoints(const ml::Metamodel& model, const std::vector<double>& x,
+Dataset LabelPoints(const ml::Metamodel& model, std::vector<double> x,
                     int num_cols, bool probability_labels) {
   assert(x.size() % static_cast<size_t>(num_cols) == 0);
-  const int n = static_cast<int>(x.size()) / num_cols;
-  Dataset out(num_cols);
-  out.Reserve(n);
-  for (int i = 0; i < n; ++i) {
-    const double* row = x.data() + static_cast<size_t>(i) * num_cols;
-    out.AddRow(row, MetamodelLabel(model, row, probability_labels));
-  }
-  return out;
+  std::vector<double> y(x.size() / static_cast<size_t>(num_cols));
+  MetamodelLabelBlock(model, x.data(), static_cast<int>(y.size()),
+                      probability_labels, y.data());
+  return Dataset(num_cols, std::move(x), std::move(y));
 }
 
 // D_new as a stream: one sequential sampler RNG draws the points in row
-// order and the metamodel labels each block in place. Replaying the RNG
-// from the same derived seed on Reset() makes both build passes (and any
-// block size) see the identical row sequence -- and, because the seed
-// derivation and the per-row sampler/label calls are exactly RedsRelabel's,
+// order and the metamodel labels each block in place, with one
+// MetamodelLabelBlock call. Replaying the RNG from the same derived seed on
+// Reset() makes both build passes (and any block size) see the identical
+// row sequence -- and, because the seed derivation and the per-row sampler
+// calls are exactly RedsRelabel's and block labels equal per-row labels,
 // the stream is bit-identical to the materialized new_data.
 //
 // Labeling is the expensive half of a pass (a metamodel prediction per row
@@ -106,25 +103,34 @@ class RedsRelabelSource : public DatasetSource {
     if (take <= 0) return block;
     x_buf_.resize(static_cast<size_t>(take) * num_cols_);
     y_buf_.resize(static_cast<size_t>(take));
+    // Sample the whole block first: labeling draws no random numbers, so
+    // the RNG sequence (and every row) is unchanged.
+    for (int r = 0; r < take; ++r) {
+      sampler_(&rng_, num_cols_,
+               x_buf_.data() + static_cast<size_t>(r) * num_cols_);
+    }
+    // Rows below labeled_ have known labels; the rest get one block call.
+    const int known_rows =
+        static_cast<int>(std::clamp<int64_t>(labeled_ - cursor_, 0, take));
     const std::vector<double>* known =
         preset_ != nullptr ? preset_.get() : building_.get();
-    for (int r = 0; r < take; ++r) {
-      double* x = x_buf_.data() + static_cast<size_t>(r) * num_cols_;
-      sampler_(&rng_, num_cols_, x);
-      const int64_t row = cursor_ + r;
-      if (row < labeled_) {
-        y_buf_[static_cast<size_t>(r)] = (*known)[static_cast<size_t>(row)];
-        continue;
-      }
+    for (int r = 0; r < known_rows; ++r) {
+      y_buf_[static_cast<size_t>(r)] =
+          (*known)[static_cast<size_t>(cursor_ + r)];
+    }
+    if (known_rows < take) {
       if (!labeled_this_pass_) {
         labeled_this_pass_ = true;
         obs::TraceInstant("relabel.label_pass");
       }
-      const double y = MetamodelLabel(*metamodel_, x, probability_labels_);
-      y_buf_[static_cast<size_t>(r)] = y;
+      const double* unlabeled =
+          x_buf_.data() + static_cast<size_t>(known_rows) * num_cols_;
+      MetamodelLabelBlock(*metamodel_, unlabeled, take - known_rows,
+                          probability_labels_, y_buf_.data() + known_rows);
       if (building_ != nullptr) {
-        building_->push_back(y);
-        labeled_ = row + 1;
+        building_->insert(building_->end(), y_buf_.begin() + known_rows,
+                          y_buf_.begin() + take);
+        labeled_ = cursor_ + take;
       }
     }
     cursor_ += take;
@@ -163,6 +169,13 @@ double MetamodelLabel(const ml::Metamodel& model, const double* x,
   return probability_labels ? p : (p > 0.5 ? 1.0 : 0.0);
 }
 
+void MetamodelLabelBlock(const ml::Metamodel& model, const double* x,
+                         int rows, bool probability_labels, double* y) {
+  model.PredictBlock(x, rows, y);
+  if (probability_labels) return;
+  for (int r = 0; r < rows; ++r) y[r] = y[r] > 0.5 ? 1.0 : 0.0;
+}
+
 RedsRelabeling RedsRelabel(const Dataset& d, const RedsConfig& config,
                            uint64_t seed) {
   assert(d.num_rows() > 0 && config.num_new_points > 0);
@@ -178,8 +191,8 @@ RedsRelabeling RedsRelabel(const Dataset& d, const RedsConfig& config,
   for (int i = 0; i < config.num_new_points; ++i) {
     sampler(&rng, m, x.data() + static_cast<size_t>(i) * m);
   }
-  out.new_data =
-      LabelPoints(*out.metamodel, x, m, config.probability_labels);
+  out.new_data = LabelPoints(*out.metamodel, std::move(x), m,
+                             config.probability_labels);
   return out;
 }
 

@@ -85,11 +85,17 @@ RedsRelabeling RedsRelabelPoints(const Dataset& d,
                                  const RedsConfig& config, uint64_t seed);
 
 /// The one place REDS label semantics live: probability labels ("p"
-/// variants) return f_am(x) in [0,1]; hard labels threshold at 0.5. Every
-/// relabeling path -- materialized, point-wise, and streamed -- labels
-/// through this helper, so the paths cannot drift apart.
+/// variants) return f_am(x) in [0,1]; hard labels threshold at 0.5. This
+/// per-row form is the golden reference of MetamodelLabelBlock.
 double MetamodelLabel(const ml::Metamodel& model, const double* x,
                       bool probability_labels);
+
+/// MetamodelLabel over `rows` row-major points of `x` into y[0, rows) with
+/// one Metamodel::PredictBlock call; y[i] equals MetamodelLabel(row i) bit
+/// for bit. Every relabeling path -- materialized, point-wise, and
+/// streamed -- labels through this helper, so the paths cannot drift apart.
+void MetamodelLabelBlock(const ml::Metamodel& model, const double* x,
+                         int rows, bool probability_labels, double* y);
 
 /// Streamed REDS relabeling: the metamodel is obtained exactly as in
 /// RedsRelabel (provider hook or inline fit, same seed derivation), but

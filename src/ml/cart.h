@@ -85,7 +85,6 @@ class RegressionTree {
   /// cannot produce out-of-bounds reads or a non-terminating Predict.
   Status DeserializeFrom(util::ByteReader* in, int num_features);
 
- private:
   struct Node {
     int feature = -1;        // -1: leaf
     double threshold = 0.0;  // go left iff x[feature] <= threshold
@@ -93,6 +92,12 @@ class RegressionTree {
     int right = -1;
     double value = 0.0;      // leaf prediction (mean target)
   };
+
+  /// The flat node array (root first), for block-inference layouts
+  /// (ml/tree_block.h) that re-lay the fitted tree out.
+  const std::vector<Node>& nodes() const { return nodes_; }
+
+ private:
 
   struct FitContext;
 

@@ -771,6 +771,14 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
     }
     trees_.push_back(std::move(tree));
   }
+  BuildBlockLayout();
+}
+
+void GradientBoostedTrees::BuildBlockLayout() {
+  block_.Build(
+      trees_.size(),
+      [this](size_t t) -> const std::vector<Node>& { return trees_[t].nodes; },
+      &Node::weight);
 }
 
 double GradientBoostedTrees::PredictMargin(const double* x) const {
@@ -783,6 +791,30 @@ double GradientBoostedTrees::PredictProb(const double* x) const {
   return Sigmoid(PredictMargin(x));
 }
 
+void GradientBoostedTrees::PredictBlock(const double* x, int rows,
+                                        double* out) const {
+  // Rows per pass over the ensemble: the chunk's inputs stay cache-resident
+  // while every tree walks them. `out` doubles as the margin accumulator.
+  constexpr int kChunk = 256;
+  const int m = num_features_;
+  for (int begin = 0; begin < rows; begin += kChunk) {
+    const int n = std::min(kChunk, rows - begin);
+    const double* xb = x + static_cast<size_t>(begin) * static_cast<size_t>(m);
+    double* acc = out + begin;
+    std::fill(acc, acc + n, base_margin_);
+    for (size_t t = 0; t < trees_.size(); ++t) {
+      if (block_.flat(t)) {
+        block_.AddLeaves(t, xb, m, n, acc);
+        continue;
+      }
+      for (int r = 0; r < n; ++r) {
+        acc[r] += trees_[t].Predict(xb + static_cast<size_t>(r) * m);
+      }
+    }
+    for (int r = 0; r < n; ++r) acc[r] = Sigmoid(acc[r]);
+  }
+}
+
 void GradientBoostedTrees::SerializeTo(util::ByteWriter* out) const {
   out->I32(num_features_);
   out->F64(base_margin_);
@@ -793,6 +825,7 @@ void GradientBoostedTrees::SerializeTo(util::ByteWriter* out) const {
 }
 
 Status GradientBoostedTrees::DeserializeFrom(util::ByteReader* in) {
+  block_ = CompleteTrees();
   num_features_ = in->I32();
   base_margin_ = in->F64();
   const uint64_t num_trees = in->U64();
@@ -809,6 +842,7 @@ Status GradientBoostedTrees::DeserializeFrom(util::ByteReader* in) {
     trees_.push_back(std::move(tree));
   }
   if (!in->ok()) return Status::InvalidArgument("corrupt GBT: truncated");
+  BuildBlockLayout();
   return Status::OK();
 }
 

@@ -18,6 +18,7 @@
 #include "core/column_index.h"
 #include "ml/histogram.h"
 #include "ml/model.h"
+#include "ml/tree_block.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -71,6 +72,11 @@ class GradientBoostedTrees : public Metamodel {
                  const BinnedIndex* binned) override;
 
   double PredictProb(const double* x) const override;
+
+  /// Walks the padded complete-tree layout (ml/tree_block.h) tree-outer
+  /// and rows-inner; each row's margin still starts at the base margin and
+  /// adds the trees in order, so out[i] == PredictProb(row i) bit for bit.
+  void PredictBlock(const double* x, int rows, double* out) const override;
   int num_features() const override { return num_features_; }
 
   /// Raw additive score before the sigmoid (log-odds scale).
@@ -113,9 +119,12 @@ class GradientBoostedTrees : public Metamodel {
   void FitImpl(const Dataset& d, const std::vector<int>* fit_rows,
                uint64_t seed, const ColumnIndex* index,
                const BinnedIndex* binned);
+  /// Rebuilds block_ from trees_ (end of every fit and load).
+  void BuildBlockLayout();
 
   GbtConfig config_;
   std::vector<Tree> trees_;
+  CompleteTrees block_;  // PredictBlock's layout of trees_
   double base_margin_ = 0.0;
   int num_features_ = 0;
 };

@@ -69,6 +69,19 @@ class Metamodel {
   /// doubles.
   virtual double PredictProb(const double* x) const = 0;
 
+  /// PredictProb over a row-major block: `x` holds `rows` consecutive rows
+  /// of num_features() doubles and out[i] receives the probability of row
+  /// i. Contract: out[i] is bit-identical to PredictProb(row i) -- an
+  /// override may reorder work across rows and trees but never a row's own
+  /// arithmetic, so there is nothing to configure and nothing to gate.
+  /// This default loops over PredictProb, which stays the golden reference.
+  virtual void PredictBlock(const double* x, int rows, double* out) const {
+    const size_t m = static_cast<size_t>(num_features());
+    for (int i = 0; i < rows; ++i) {
+      out[i] = PredictProb(x + static_cast<size_t>(i) * m);
+    }
+  }
+
   /// Number of input features the model was fit on.
   virtual int num_features() const = 0;
 

@@ -88,6 +88,7 @@ void RandomForest::Fit(const Dataset& d, uint64_t seed,
   } else {
     for (int t = 0; t < config_.num_trees; ++t) fit_tree(t);
   }
+  BuildBlockLayout();
 }
 
 void RandomForest::FitOnRows(const Dataset& d, const std::vector<int>& rows,
@@ -135,6 +136,16 @@ void RandomForest::FitOnRows(const Dataset& d, const std::vector<int>& rows,
   } else {
     for (int t = 0; t < config_.num_trees; ++t) fit_tree(t);
   }
+  BuildBlockLayout();
+}
+
+void RandomForest::BuildBlockLayout() {
+  block_.Build(
+      trees_.size(),
+      [this](size_t t) -> const std::vector<RegressionTree::Node>& {
+        return trees_[t].nodes();
+      },
+      &RegressionTree::Node::value, num_features_);
 }
 
 bool RandomForest::OobStateMatches(const Dataset& d) const {
@@ -240,6 +251,31 @@ double RandomForest::PredictProb(const double* x) const {
   return std::clamp(p, 0.0, 1.0);
 }
 
+void RandomForest::PredictBlock(const double* x, int rows,
+                                double* out) const {
+  assert(!trees_.empty());
+  const size_t m = static_cast<size_t>(num_features_);
+  const size_t words = block_.num_words();
+  std::vector<uint64_t> leaves(words * QuickScorer::kGroup);
+  for (int begin = 0; begin < rows; begin += QuickScorer::kGroup) {
+    const int n = std::min(QuickScorer::kGroup, rows - begin);
+    const double* xb = x + static_cast<size_t>(begin) * m;
+    block_.Mask(xb, num_features_, n, leaves.data());
+    for (int r = 0; r < n; ++r) {
+      const double* row = xb + static_cast<size_t>(r) * m;
+      const uint64_t* row_leaves =
+          leaves.data() + static_cast<size_t>(r) * words;
+      double sum = 0.0;
+      for (size_t t = 0; t < trees_.size(); ++t) {
+        sum += block_.flat(t) ? block_.ExitLeaf(t, row_leaves)
+                              : trees_[t].Predict(row);
+      }
+      const double p = sum / static_cast<double>(trees_.size());
+      out[begin + r] = std::clamp(p, 0.0, 1.0);
+    }
+  }
+}
+
 void RandomForest::SerializeTo(util::ByteWriter* out) const {
   out->I32(num_features_);
   out->U64(trees_.size());
@@ -249,6 +285,7 @@ void RandomForest::SerializeTo(util::ByteWriter* out) const {
 }
 
 Status RandomForest::DeserializeFrom(util::ByteReader* in) {
+  block_ = QuickScorer();
   num_features_ = in->I32();
   const uint64_t num_trees = in->U64();
   // Zero trees would make PredictProb average over nothing (NaN); every
@@ -262,6 +299,7 @@ Status RandomForest::DeserializeFrom(util::ByteReader* in) {
     const Status s = tree.DeserializeFrom(in, num_features_);
     if (!s.ok()) return s;
   }
+  BuildBlockLayout();
   const uint64_t num_bags = in->U64();
   if (!in->ok() || num_bags != num_trees) {
     return Status::InvalidArgument("corrupt forest: bag counts");

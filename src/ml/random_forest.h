@@ -8,6 +8,7 @@
 
 #include "ml/cart.h"
 #include "ml/model.h"
+#include "ml/tree_block.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
@@ -53,9 +54,17 @@ class RandomForest : public Metamodel {
                  const BinnedIndex* binned) override;
 
   double PredictProb(const double* x) const override;
+
+  /// QuickScorer over the forest's splits (ml/tree_block.h), one row at a
+  /// time; each row still sums the trees' leaf values in tree order before
+  /// the divide and clamp, so out[i] == PredictProb(row i) bit for bit.
+  void PredictBlock(const double* x, int rows, double* out) const override;
   int num_features() const override { return num_features_; }
 
   int num_trees() const { return static_cast<int>(trees_.size()); }
+  const RegressionTree& tree(int t) const {
+    return trees_[static_cast<size_t>(t)];
+  }
   const RandomForestConfig& config() const { return config_; }
 
   /// Out-of-bag probability estimates for the training rows: row i is
@@ -94,8 +103,12 @@ class RandomForest : public Metamodel {
   /// `num_cols` features (mtry default = floor(sqrt(M))).
   TreeConfig MakeTreeConfig(int num_cols) const;
 
+  /// Rebuilds block_ from trees_ (end of every fit and load).
+  void BuildBlockLayout();
+
   RandomForestConfig config_;
   std::vector<RegressionTree> trees_;
+  QuickScorer block_;  // PredictBlock's layout of trees_
   std::vector<std::vector<int>> in_bag_counts_;  // per tree, per training row
   int num_features_ = 0;
 };

@@ -163,6 +163,45 @@ double SvmRbf::PredictProb(const double* x) const {
   return 1.0 / (1.0 + std::exp(-3.0 * Decision(x)));
 }
 
+void SvmRbf::PredictBlock(const double* x, int rows, double* out) const {
+  constexpr int kChunk = 256;  // rows per pass over the support vectors
+  const size_t m = static_cast<size_t>(num_features_);
+  // Each chunk is transposed to column-major, so a support vector's
+  // squared distances run across rows; every row still sums its features
+  // in order, as SquaredDistance does.
+  std::vector<double> cols(m * kChunk), dist(kChunk);
+  for (int begin = 0; begin < rows; begin += kChunk) {
+    const int n = std::min(kChunk, rows - begin);
+    const double* xb = x + static_cast<size_t>(begin) * m;
+    for (int r = 0; r < n; ++r) {
+      for (size_t j = 0; j < m; ++j) {
+        cols[j * kChunk + static_cast<size_t>(r)] =
+            xb[static_cast<size_t>(r) * m + j];
+      }
+    }
+    double* acc = out + begin;  // decision values, then probabilities
+    std::fill(acc, acc + n, bias_);
+    for (size_t i = 0; i < sv_x_.size(); ++i) {
+      const double* sv = sv_x_[i].data();
+      std::fill(dist.begin(), dist.begin() + n, 0.0);
+      for (size_t j = 0; j < m; ++j) {
+        const double* col = cols.data() + j * kChunk;
+        for (int r = 0; r < n; ++r) {
+          const double diff = sv[j] - col[r];
+          dist[static_cast<size_t>(r)] += diff * diff;
+        }
+      }
+      const double coef = sv_coef_[i];
+      for (int r = 0; r < n; ++r) {
+        acc[r] += coef * std::exp(-gamma_ * dist[static_cast<size_t>(r)]);
+      }
+    }
+    for (int r = 0; r < n; ++r) {
+      acc[r] = 1.0 / (1.0 + std::exp(-3.0 * acc[r]));
+    }
+  }
+}
+
 void SvmRbf::SerializeTo(util::ByteWriter* out) const {
   out->I32(num_features_);
   out->F64(gamma_);

@@ -27,6 +27,11 @@ class SvmRbf : public Metamodel {
 
   void Fit(const Dataset& d, uint64_t seed) override;
   double PredictProb(const double* x) const override;
+
+  /// Support vectors outer, rows inner over cache-sized row chunks, with
+  /// the scalar std::exp; each row still adds bias then the support
+  /// vectors' terms in order, so out[i] == PredictProb(row i) bit for bit.
+  void PredictBlock(const double* x, int rows, double* out) const override;
   int num_features() const override { return num_features_; }
 
   /// Signed decision value sum_i alpha_i y_i K(x_i, x) + b.

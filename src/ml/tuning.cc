@@ -99,13 +99,16 @@ double FoldLoss(const Dataset& d, size_t num_built, int num_folds,
   for (size_t f = 0; f < num_built; ++f) {
     const std::unique_ptr<Metamodel> model = fit_fold(f);
     const std::vector<int>& held_out = test_rows(f);
-    std::vector<double> prob, y;
-    prob.reserve(held_out.size());
+    // Gather the held-out rows into one block for PredictBlock.
+    const size_t m = static_cast<size_t>(d.num_cols());
+    std::vector<double> x(held_out.size() * m), prob(held_out.size()), y;
     y.reserve(held_out.size());
-    for (int r : held_out) {
-      prob.push_back(model->PredictProb(d.row(r)));
-      y.push_back(d.y(r) > 0.5 ? 1.0 : 0.0);
+    for (size_t i = 0; i < held_out.size(); ++i) {
+      std::copy_n(d.row(held_out[i]), m, x.data() + i * m);
+      y.push_back(d.y(held_out[i]) > 0.5 ? 1.0 : 0.0);
     }
+    model->PredictBlock(x.data(), static_cast<int>(held_out.size()),
+                        prob.data());
     total += LogLoss(prob, y);
   }
   return total / num_folds;

@@ -163,7 +163,9 @@ Status ShardWorker::HandleBins(const std::string& payload) {
   std::vector<std::vector<double>> upper(static_cast<size_t>(m_));
   for (int j = 0; j < m_; ++j) {
     upper[static_cast<size_t>(j)] = in.VecF64();
-    if (!in.ok() || upper[static_cast<size_t>(j)].empty()) {
+    if (!in.ok() || upper[static_cast<size_t>(j)].empty() ||
+        upper[static_cast<size_t>(j)].size() >
+            static_cast<size_t>(BinnedIndex::kMaxBins)) {
       return Status::InvalidArgument("shard worker: bad kBins payload");
     }
   }
@@ -177,6 +179,9 @@ Status ShardWorker::HandleBins(const std::string& payload) {
     codes_[static_cast<size_t>(j)].reserve(static_cast<size_t>(n_));
     stats[static_cast<size_t>(j)].Reset(upper[static_cast<size_t>(j)].size());
   }
+  std::vector<StreamedCoder> coders;
+  coders.reserve(static_cast<size_t>(m_));
+  for (std::vector<double>& ub : upper) coders.emplace_back(std::move(ub));
 
   int64_t seen = 0;
   obs::ScopedTimer timer(metrics_.histogram("shard.worker.code_ns"));
@@ -188,12 +193,12 @@ Status ShardWorker::HandleBins(const std::string& payload) {
     seen += rows;
     const double* x = block->x.data();
     for (int j = 0; j < m_; ++j) {
-      const std::vector<double>& ub = upper[static_cast<size_t>(j)];
+      const StreamedCoder& coder = coders[static_cast<size_t>(j)];
       std::vector<uint8_t>& codes = codes_[static_cast<size_t>(j)];
       BinCodingStats& cs = stats[static_cast<size_t>(j)];
       for (int r = 0; r < rows; ++r) {
         const double v = x[static_cast<size_t>(r) * m_ + j];
-        const uint8_t b = StreamedCodeOf(ub, v);
+        const uint8_t b = coder.Code(v);
         codes.push_back(b);
         cs.Observe(b, v);
       }

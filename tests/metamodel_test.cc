@@ -2,7 +2,10 @@
 // the classification metrics and the CV tuning harness.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "ml/gbt.h"
 #include "ml/metrics.h"
@@ -10,6 +13,7 @@
 #include "ml/svm.h"
 #include "ml/tuning.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace reds::ml {
 namespace {
@@ -226,6 +230,226 @@ TEST(TuningTest, MetamodelSuffixNames) {
   EXPECT_EQ(MetamodelSuffix(MetamodelKind::kRandomForest), "f");
   EXPECT_EQ(MetamodelSuffix(MetamodelKind::kGbt), "x");
   EXPECT_EQ(MetamodelSuffix(MetamodelKind::kSvm), "s");
+}
+
+// --- Block inference: PredictBlock against the PredictProb reference. ----
+
+// Labels depend on x0/x1 through a noisy disc, so fully grown trees get
+// deep and leafy.
+Dataset NoisyData(int n, int dim, uint64_t seed) {
+  Rng rng(seed);
+  Dataset d(dim);
+  std::vector<double> x(static_cast<size_t>(dim));
+  for (int i = 0; i < n; ++i) {
+    for (double& v : x) v = rng.Uniform();
+    const double r2 =
+        (x[0] - 0.5) * (x[0] - 0.5) + (x[1] - 0.4) * (x[1] - 0.4);
+    d.AddRow(x, rng.Bernoulli(r2 < 0.1 ? 0.85 : 0.2) ? 1.0 : 0.0);
+  }
+  return d;
+}
+
+// 8192 + 37 probe rows: the training rows (values next to the learned
+// thresholds), edge values (outside [0,1], signed zeros, +-inf, NaN) and
+// fresh uniform rows.
+std::vector<double> ProbeRows(int dim, const Dataset* train, uint64_t seed) {
+  constexpr int kRows = 8192 + 37;
+  const double edges[] = {-1.0, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0,
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+  Rng rng(seed);
+  std::vector<double> x;
+  x.reserve(static_cast<size_t>(kRows) * dim);
+  for (int i = 0; i < kRows; ++i) {
+    for (int j = 0; j < dim; ++j) {
+      if (train != nullptr && i < train->num_rows()) {
+        x.push_back(train->x(i, j));
+      } else if (i % 5 == 0) {
+        x.push_back(edges[rng.UniformInt(std::size(edges))]);
+      } else {
+        x.push_back(rng.Uniform());
+      }
+    }
+  }
+  return x;
+}
+
+// PredictBlock over `probe`, cut into blocks of `block` rows (the last
+// one ragged), equals PredictProb row for row, bit for bit.
+void ExpectBlockMatchesRows(const Metamodel& model,
+                            const std::vector<double>& probe, int block) {
+  const size_t m = static_cast<size_t>(model.num_features());
+  const int rows = static_cast<int>(probe.size() / m);
+  std::vector<double> out(static_cast<size_t>(rows), -1.0);
+  for (int begin = 0; begin < rows; begin += block) {
+    model.PredictBlock(probe.data() + static_cast<size_t>(begin) * m,
+                       std::min(block, rows - begin), out.data() + begin);
+  }
+  int mismatches = 0;
+  for (int r = 0; r < rows; ++r) {
+    const double want = model.PredictProb(probe.data() + r * m);
+    if (std::bit_cast<uint64_t>(out[static_cast<size_t>(r)]) !=
+        std::bit_cast<uint64_t>(want)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "block " << block << " of " << rows << " rows";
+}
+
+template <typename Model>
+void ExpectBlockMatchesRowsAfterReload(const Model& model,
+                                       const std::vector<double>& probe) {
+  for (int block : {1, 7, 8192, 1 << 20}) {
+    ExpectBlockMatchesRows(model, probe, block);
+  }
+  util::ByteWriter out;
+  model.SerializeTo(&out);
+  util::ByteReader in(out.data());
+  Model reloaded;
+  ASSERT_TRUE(reloaded.DeserializeFrom(&in).ok());
+  for (int block : {1, 7, 8192, 1 << 20}) {
+    ExpectBlockMatchesRows(reloaded, probe, block);
+  }
+}
+
+TEST(PredictBlockTest, GbtDepthWiseMatchesPredictProb) {
+  const Dataset train = NoisyData(600, 5, 21);
+  const std::vector<double> probe = ProbeRows(5, &train, 22);
+  // 2-6 span the default and the tuning grids; 10 exceeds the complete-tree
+  // layout and keeps the pointer walk inside the same loop.
+  for (int depth : {2, 4, 6, 10}) {
+    SCOPED_TRACE("max_depth " + std::to_string(depth));
+    GbtConfig config;
+    config.num_rounds = 40;
+    config.max_depth = depth;
+    config.subsample = 0.8;
+    GradientBoostedTrees gbt(config);
+    gbt.Fit(train, 23);
+    ExpectBlockMatchesRowsAfterReload(gbt, probe);
+  }
+}
+
+TEST(PredictBlockTest, GbtLeafWiseMatchesPredictProb) {
+  const Dataset train = NoisyData(600, 5, 24);
+  const std::vector<double> probe = ProbeRows(5, &train, 25);
+  GbtConfig config;
+  config.num_rounds = 40;
+  config.max_depth = 6;
+  config.backend = SplitBackend::kHistogram;
+  config.growth = GrowthPolicy::kLeafWise;
+  config.max_leaves = 12;
+  GradientBoostedTrees gbt(config);
+  gbt.Fit(train, 26);
+  ExpectBlockMatchesRowsAfterReload(gbt, probe);
+}
+
+TEST(PredictBlockTest, RandomForestWithMultiWordTreesMatchesPredictProb) {
+  const Dataset train = NoisyData(800, 4, 27);
+  const std::vector<double> probe = ProbeRows(4, &train, 28);
+  RandomForestConfig config;
+  config.num_trees = 30;
+  RandomForest rf(config);
+  rf.Fit(train, 29);
+  int most_leaves = 0;
+  for (int t = 0; t < rf.num_trees(); ++t) {
+    most_leaves = std::max(most_leaves, rf.tree(t).num_leaves());
+  }
+  EXPECT_GT(most_leaves, 128) << "want leaf masks of three or more words";
+  ExpectBlockMatchesRowsAfterReload(rf, probe);
+}
+
+TEST(PredictBlockTest, SvmMatchesPredictProb) {
+  const Dataset train = NoisyData(300, 3, 30);
+  const std::vector<double> probe = ProbeRows(3, &train, 31);
+  SvmRbf svm;
+  svm.Fit(train, 32);
+  ASSERT_GT(svm.num_support_vectors(), 1);
+  ExpectBlockMatchesRowsAfterReload(svm, probe);
+}
+
+// Hand-made payloads the fitters never produce: a NaN threshold, children
+// shared by two parents, and (GBT) a tree deeper than the complete-tree
+// layout. Thresholds sit on probe edge values, so `<=` ties are exercised.
+// Node wire shape: feature, threshold, left, right, leaf value.
+struct WireNode {
+  int feature;
+  double threshold;
+  int left;
+  int right;
+  double leaf;
+};
+
+void WriteNodes(const std::vector<WireNode>& nodes, util::ByteWriter* out) {
+  out->U64(nodes.size());
+  for (const WireNode& nd : nodes) {
+    out->I32(nd.feature);
+    out->F64(nd.threshold);
+    out->I32(nd.left);
+    out->I32(nd.right);
+    out->F64(nd.leaf);
+  }
+}
+
+std::vector<std::vector<WireNode>> HandMadeTrees() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<WireNode>> trees;
+  // NaN threshold: x <= NaN never holds, every row goes right.
+  trees.push_back({{0, nan, 1, 2, 0.0}, {-1, 0, -1, -1, 0.1},
+                   {1, 0.5, 3, 4, 0.0}, {-1, 0, -1, -1, 0.3},
+                   {-1, 0, -1, -1, 0.7}});
+  // Node 1 is both children of the root.
+  trees.push_back({{0, 0.5, 1, 1, 0.0}, {1, 0.3, 2, 3, 0.0},
+                   {-1, 0, -1, -1, 0.2}, {-1, 0, -1, -1, 0.9}});
+  // A chain of depth 9: internal node k at 2k, its right leaf at 2k + 1.
+  std::vector<WireNode> chain;
+  for (int k = 0; k < 9; ++k) {
+    chain.push_back({k % 2, 0.25 * (k % 5), 2 * k + 2, 2 * k + 1, 0.0});
+    chain.push_back({-1, 0, -1, -1, 0.05 * k});
+  }
+  chain.push_back({-1, 0, -1, -1, 0.95});
+  trees.push_back(chain);
+  return trees;
+}
+
+TEST(PredictBlockTest, HandMadeGbtPayloadMatchesPredictProb) {
+  const auto trees = HandMadeTrees();
+  util::ByteWriter out;
+  out.I32(2);     // features
+  out.F64(-0.25); // base margin
+  out.U64(trees.size());
+  for (const auto& nodes : trees) WriteNodes(nodes, &out);
+  util::ByteReader in(out.data());
+  GradientBoostedTrees gbt;
+  ASSERT_TRUE(gbt.DeserializeFrom(&in).ok());
+  ExpectBlockMatchesRowsAfterReload(gbt, ProbeRows(2, nullptr, 33));
+}
+
+TEST(PredictBlockTest, HandMadeForestPayloadMatchesPredictProb) {
+  const auto trees = HandMadeTrees();
+  util::ByteWriter out;
+  out.I32(2);  // features
+  out.U64(trees.size());
+  for (const auto& nodes : trees) WriteNodes(nodes, &out);
+  out.U64(trees.size());  // bag counts: one training row per tree
+  for (size_t t = 0; t < trees.size(); ++t) out.VecI32({1});
+  util::ByteReader in(out.data());
+  RandomForest rf;
+  ASSERT_TRUE(rf.DeserializeFrom(&in).ok());
+  ExpectBlockMatchesRowsAfterReload(rf, ProbeRows(2, nullptr, 34));
+}
+
+TEST(PredictBlockTest, DefaultLoopsOverPredictProb) {
+  // A family without an override gets the reference loop.
+  class Constant : public Metamodel {
+   public:
+    void Fit(const Dataset&, uint64_t) override {}
+    double PredictProb(const double* x) const override { return x[0] / 2; }
+    int num_features() const override { return 2; }
+  };
+  const Constant model;
+  const std::vector<double> probe = ProbeRows(2, nullptr, 35);
+  ExpectBlockMatchesRows(model, probe, 7);
 }
 
 }  // namespace

@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <vector>
 
+#include "core/binned_index.h"
 #include "core/quantile_sketch.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace reds {
 namespace {
@@ -171,6 +175,252 @@ TEST(QuantileSketchTest, QueryQuantileMatchesQueryRank) {
   EXPECT_EQ(sketch.QueryQuantile(0.0), sketch.QueryRank(0));
   EXPECT_EQ(sketch.QueryQuantile(1.0), sketch.QueryRank(999));
   EXPECT_EQ(sketch.QueryQuantile(0.5), sketch.QueryRank(500));
+}
+
+// --- QueryRanks: the one-sweep form of QueryRank. -------------------------
+
+// Every rank of the stream (plus clamped ones past both ends), answered by
+// QueryRanks, equals QueryRank's answer.
+void ExpectQueryRanksMatchQueryRank(const QuantileSketch& sketch,
+                                    const char* label) {
+  const int64_t n = sketch.count();
+  std::vector<int64_t> ranks{-5, 0};
+  for (int64_t r = 0; r < n; ++r) ranks.push_back(r);
+  ranks.push_back(n - 1);
+  ranks.push_back(n + 3);
+  const std::vector<double> swept = sketch.QueryRanks(ranks);
+  ASSERT_EQ(swept.size(), ranks.size()) << label;
+  int mismatches = 0;
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    mismatches += swept[i] != sketch.QueryRank(ranks[i]) ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0) << label;
+}
+
+TEST(QuantileSketchTest, QueryRanksMatchesQueryRankOnRandomStreams) {
+  const char* labels[] = {"ascending", "descending", "duplicates",
+                          "zipf",      "alternating", "uniform"};
+  for (int kind = 0; kind < 6; ++kind) {
+    QuantileSketch sketch(1.0 / 512.0);
+    for (double v : AdversarialStream(kind, 20000, 31)) sketch.Add(v);
+    ExpectQueryRanksMatchQueryRank(sketch, labels[kind]);
+  }
+}
+
+TEST(QuantileSketchTest, QueryRanksMatchesQueryRankOnWeightedSketches) {
+  // Heavy weighted inserts leave pure tuples whose g dwarfs the gap
+  // budget -- the branch of QueryRank that answers inside the mass.
+  Rng rng(37);
+  std::vector<std::pair<double, int64_t>> pairs;
+  for (int i = 0; i < 60; ++i) {
+    pairs.emplace_back(rng.Uniform() * 10.0,
+                       (i % 5 == 0) ? 3000 : 1 + rng.UniformInt(30));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  QuantileSketch sketch(1.0 / 512.0);
+  for (const auto& [v, w] : pairs) sketch.AddWeighted(v, w);
+  ExpectQueryRanksMatchQueryRank(sketch, "weighted");
+  for (double v : AdversarialStream(5, 4000, 41)) sketch.Add(v * 10.0);
+  ExpectQueryRanksMatchQueryRank(sketch, "weighted+stream");
+}
+
+TEST(QuantileSketchTest, QueryRanksMatchesQueryRankOnMergedAndReloaded) {
+  QuantileSketch merged(1.0 / 512.0);
+  for (int part = 0; part < 5; ++part) {
+    QuantileSketch piece(1.0 / 512.0);
+    for (double v : AdversarialStream(part, 3000 + 700 * part, 43 + part)) {
+      piece.Add(v);
+    }
+    if (part == 2) piece.AddWeighted(0.5, 5000);
+    merged.Merge(piece);
+  }
+  ExpectQueryRanksMatchQueryRank(merged, "merged");
+  util::ByteWriter out;
+  merged.SerializeTo(&out);
+  util::ByteReader in(out.data());
+  Result<QuantileSketch> reloaded = QuantileSketch::DeserializeFrom(&in);
+  ASSERT_TRUE(reloaded.ok());
+  ExpectQueryRanksMatchQueryRank(*reloaded, "deserialized");
+}
+
+// --- StreamedCoder: the bucket-table form of StreamedCodeOf. ---------------
+
+// Probe values around every bound (the bound, its neighbours), across and
+// beyond the bounds' range, and the special values.
+std::vector<double> CoderProbes(const std::vector<double>& upper,
+                                uint64_t seed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes{-inf, inf, -0.0, 0.0, -1e300, 1e300,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::denorm_min()};
+  double lo = 0.0, hi = 0.0;
+  for (double u : upper) {
+    probes.push_back(u);
+    probes.push_back(std::nextafter(u, -inf));
+    probes.push_back(std::nextafter(u, inf));
+    if (std::isfinite(u)) {
+      lo = std::min(lo, u);
+      hi = std::max(hi, u);
+    }
+  }
+  const double span = std::max(1.0, hi - lo);
+  Rng rng(seed);
+  for (int i = 0; i < 20000; ++i) {
+    probes.push_back(lo - span + 3.0 * span * rng.Uniform());
+  }
+  return probes;
+}
+
+void ExpectCoderMatchesStreamedCodeOf(const std::vector<double>& upper,
+                                      const char* label) {
+  const StreamedCoder coder(upper);
+  int mismatches = 0;
+  for (double v : CoderProbes(upper, 47)) {
+    mismatches += coder.Code(v) != StreamedCodeOf(upper, v) ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0) << label;
+}
+
+TEST(StreamedCoderTest, MatchesStreamedCodeOf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(53);
+  // Sketch-regime bounds: ascending quantiles plus the +inf catch-all.
+  std::vector<double> sketch_bounds;
+  for (int b = 0; b < 255; ++b) sketch_bounds.push_back(b / 255.0 + 0.001);
+  sketch_bounds.push_back(inf);
+  ExpectCoderMatchesStreamedCodeOf(sketch_bounds, "sketch + catch-all");
+  // Exact-pack bounds: distinct values, no catch-all (values past the last
+  // bound clamp into the last bin).
+  std::vector<double> distinct;
+  for (int b = 0; b < 200; ++b) distinct.push_back(rng.Uniform());
+  std::sort(distinct.begin(), distinct.end());
+  ExpectCoderMatchesStreamedCodeOf(distinct, "distinct values");
+  ExpectCoderMatchesStreamedCodeOf({0.25}, "single bound");
+  ExpectCoderMatchesStreamedCodeOf({inf}, "catch-all only");
+  ExpectCoderMatchesStreamedCodeOf({-3.0, inf}, "one bound + catch-all");
+  std::vector<double> negative;
+  for (int b = 0; b < 100; ++b) negative.push_back(-1000.0 + b * 7.5);
+  ExpectCoderMatchesStreamedCodeOf(negative, "negative values");
+  // Clustered: most bounds within 1e-9 of each other, a few far outliers,
+  // so whole runs of bins share one bucket.
+  std::vector<double> clustered{-1e6};
+  for (int b = 0; b < 240; ++b) clustered.push_back(0.5 + b * 1e-12);
+  clustered.push_back(1.0);
+  clustered.push_back(1e6);
+  clustered.push_back(inf);
+  ExpectCoderMatchesStreamedCodeOf(clustered, "clustered");
+  ExpectCoderMatchesStreamedCodeOf({-inf, 0.0, 1.0}, "-inf first bound");
+}
+
+// --- BuildStreamed in the sketch regime against the reference helpers. ----
+
+// BuildStreamed re-done with the golden references: the same block-local
+// summaries folded in block order, bounds from one QueryRank per rank,
+// codes from StreamedCodeOf, the same layout assembly, and the
+// (code, row)-ordered permutation by a stable sort.
+struct ReferenceBuild {
+  std::vector<std::vector<uint8_t>> codes;
+  std::vector<ColumnBinLayout> layouts;
+  std::vector<std::vector<int>> sorted_rows;
+};
+
+ReferenceBuild BuildWithReferenceHelpers(const Dataset& data, int block_rows) {
+  const int n = data.num_rows();
+  const int m = data.num_cols();
+  const int cap = BinnedIndex::kMaxBins;
+  const double eps = StreamedBuildOptions().sketch_eps;
+  std::vector<ColumnSketch> acc(static_cast<size_t>(m), ColumnSketch(eps));
+  for (int begin = 0; begin < n; begin += block_rows) {
+    const int end = std::min(n, begin + block_rows);
+    for (int j = 0; j < m; ++j) {
+      ColumnSketch local(eps);
+      for (int r = begin; r < end; ++r) local.AddValue(data.x(r, j), cap);
+      acc[static_cast<size_t>(j)].MergeFrom(local, cap);
+    }
+  }
+  ReferenceBuild out;
+  for (int j = 0; j < m; ++j) {
+    ColumnSketch& cs = acc[static_cast<size_t>(j)];
+    EXPECT_TRUE(cs.overflow) << "column " << j << " must be sketch-binned";
+    std::vector<double> ub;
+    for (int b = 1; b < cap; ++b) {
+      const double v = cs.sketch.QueryRank(static_cast<int64_t>(b) * n / cap);
+      if (ub.empty() || v > ub.back()) ub.push_back(v);
+    }
+    ub.push_back(std::numeric_limits<double>::infinity());
+    BinCodingStats stats;
+    stats.Reset(ub.size());
+    std::vector<uint8_t> codes;
+    for (int r = 0; r < n; ++r) {
+      const uint8_t b = StreamedCodeOf(ub, data.x(r, j));
+      codes.push_back(b);
+      stats.Observe(b, data.x(r, j));
+    }
+    ColumnBinLayout layout = AssembleColumnBins(stats, n);
+    for (uint8_t& c : codes) c = layout.remap[c];
+    std::vector<int> rows(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r) rows[static_cast<size_t>(r)] = r;
+    std::stable_sort(rows.begin(), rows.end(), [&](int a, int b) {
+      return codes[static_cast<size_t>(a)] < codes[static_cast<size_t>(b)];
+    });
+    out.codes.push_back(std::move(codes));
+    out.layouts.push_back(std::move(layout));
+    out.sorted_rows.push_back(std::move(rows));
+  }
+  return out;
+}
+
+TEST(StreamedCoderTest, SketchRegimeBuildMatchesReferenceHelpers) {
+  Rng rng(59);
+  const int n = 30000, m = 3;
+  auto uniform = std::make_shared<Dataset>(m);
+  auto logit_normal = std::make_shared<Dataset>(m);
+  for (int i = 0; i < n; ++i) {
+    double u[m], l[m];
+    for (int j = 0; j < m; ++j) {
+      u[j] = rng.Uniform();
+      l[j] = rng.LogitNormal(0.0, 1.0 + j);
+    }
+    uniform->AddRow(u, 0.0);
+    logit_normal->AddRow(l, 1.0);
+  }
+  for (const auto& data : {uniform, logit_normal}) {
+    for (int block_rows : {1000, 8192}) {
+      const ReferenceBuild ref = BuildWithReferenceHelpers(*data, block_rows);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("block_rows " + std::to_string(block_rows) +
+                     " threads " + std::to_string(threads));
+        MatrixSource source(data);
+        StreamedBuildOptions options;
+        options.block_rows = block_rows;
+        options.threads = threads;
+        Result<StreamedDataset> built =
+            BinnedIndex::BuildStreamed(&source, options);
+        ASSERT_TRUE(built.ok()) << built.status().ToString();
+        const BinnedIndex& index = *built->index;
+        ASSERT_EQ(index.kind(), BinnedIndex::BuildKind::kSketch);
+        for (int j = 0; j < m; ++j) {
+          const ColumnBinLayout& layout = ref.layouts[static_cast<size_t>(j)];
+          ASSERT_EQ(index.num_bins(j), layout.live) << "col " << j;
+          EXPECT_TRUE(index.codes(j) == ref.codes[static_cast<size_t>(j)])
+              << "col " << j;
+          EXPECT_TRUE(index.sorted_rows(j) ==
+                      ref.sorted_rows[static_cast<size_t>(j)])
+              << "col " << j;
+          for (int b = 0; b < layout.live; ++b) {
+            EXPECT_EQ(index.bin_first(j, b),
+                      layout.first[static_cast<size_t>(b)]);
+            EXPECT_EQ(index.bin_last(j, b),
+                      layout.last[static_cast<size_t>(b)]);
+          }
+          for (int b = 0; b <= layout.live; ++b) {
+            EXPECT_EQ(index.bin_begin_rank(j, b),
+                      layout.begins[static_cast<size_t>(b)]);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

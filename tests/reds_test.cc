@@ -188,6 +188,66 @@ TEST(RedsTest, MetamodelLabelIsTheSingleSourceOfTruth) {
   }
 }
 
+TEST(RedsTest, BlockLabelsMatchThePerRowMetamodelLabelLoop) {
+  // Every relabeling path labels through Metamodel::PredictBlock; each
+  // label must still equal the per-row MetamodelLabel reference bit for
+  // bit, for every family, hard and probability labels alike.
+  auto f = fun::MakeFunction("borehole");
+  const Dataset d =
+      fun::MakeScenarioDataset(**f, 200, fun::DesignKind::kLatinHypercube, 16);
+  for (const ml::MetamodelKind kind :
+       {ml::MetamodelKind::kRandomForest, ml::MetamodelKind::kGbt,
+        ml::MetamodelKind::kSvm}) {
+    for (const bool prob : {false, true}) {
+      SCOPED_TRACE(ml::MetamodelSuffix(kind) + (prob ? " p" : " hard"));
+      const RedsConfig config = QuickConfig(kind, prob, 2500);
+      const RedsRelabeling materialized = RedsRelabel(d, config, 17);
+      int mismatches = 0;
+      for (int i = 0; i < materialized.new_data.num_rows(); ++i) {
+        mismatches += materialized.new_data.y(i) !=
+                              MetamodelLabel(*materialized.metamodel,
+                                             materialized.new_data.row(i), prob)
+                          ? 1
+                          : 0;
+      }
+      EXPECT_EQ(mismatches, 0) << "materialized";
+
+      RedsStreamedRelabeling streamed = RedsRelabelStreamed(d, config, 17);
+      ASSERT_NE(streamed.metamodel, nullptr);
+      // Two passes: the first labels per block, the second replays the
+      // cached labels; block sizes that split the stream unevenly.
+      for (const int block_rows : {77, 1024}) {
+        auto drained = ReadAll(streamed.new_data.get(), block_rows);
+        ASSERT_TRUE(drained.ok());
+        ASSERT_EQ(drained->num_rows(), 2500);
+        mismatches = 0;
+        for (int i = 0; i < drained->num_rows(); ++i) {
+          mismatches +=
+              drained->y(i) != MetamodelLabel(*streamed.metamodel,
+                                              drained->row(i), prob)
+                  ? 1
+                  : 0;
+        }
+        EXPECT_EQ(mismatches, 0) << "streamed, block_rows " << block_rows;
+      }
+
+      const std::vector<double> points(
+          materialized.new_data.row(0),
+          materialized.new_data.row(0) + 700 * d.num_cols());
+      const RedsRelabeling pointwise = RedsRelabelPoints(d, points, config, 17);
+      mismatches = 0;
+      for (int i = 0; i < pointwise.new_data.num_rows(); ++i) {
+        mismatches += pointwise.new_data.y(i) !=
+                              MetamodelLabel(*pointwise.metamodel,
+                                             pointwise.new_data.row(i), prob)
+                          ? 1
+                          : 0;
+      }
+      EXPECT_EQ(mismatches, 0) << "points";
+    }
+  }
+}
+
 // The headline claim (Figure 2 / Section 9): at small N, PRIM on
 // metamodel-relabeled data beats PRIM on the raw data. We check PR AUC on an
 // independent test set, averaged over repetitions, on a function where the

@@ -134,6 +134,38 @@ TEST(ShardWireTest, EofIsIoError) {
   ::close(sv[1]);
 }
 
+TEST(ShardWireTest, WorkerRejectsMoreBinBoundsThanCodesHold) {
+  // Codes are uint8: a kBins payload with more than 256 bounds per column
+  // is refused before any row is coded.
+  const SourceSpec spec = TestSpec();
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  Status served = Status::OK();
+  std::thread worker([&] {
+    SyntheticBlockSource source(spec, 1, 0);
+    served = RunShardWorker(sv[1], &source);
+  });
+  util::ByteWriter sketch;
+  sketch.I32(spec.block_rows);
+  sketch.I32(BinnedIndex::kMaxBins);
+  sketch.F64(1.0 / 2048.0);
+  ASSERT_TRUE(WriteFrame(sv[0], MsgType::kSketchRequest, sketch.data()).ok());
+  ASSERT_TRUE(ExpectFrame(sv[0], MsgType::kSketchReply).ok());
+  util::ByteWriter bins;
+  bins.I32(spec.dims);
+  std::vector<double> bounds(BinnedIndex::kMaxBins + 1);
+  for (size_t b = 0; b < bounds.size(); ++b) bounds[b] = static_cast<double>(b);
+  for (int j = 0; j < spec.dims; ++j) bins.VecF64(bounds);
+  ASSERT_TRUE(WriteFrame(sv[0], MsgType::kBins, bins.data()).ok());
+  // A worker that accepted the bins then reads EOF instead of hanging.
+  ::shutdown(sv[0], SHUT_WR);
+  worker.join();
+  EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
+      << served.ToString();
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
 TEST(ShardSourceTest, SpecSerializationRoundTrips) {
   SourceSpec spec = TestSpec();
   spec.path = "ignored-for-synthetic";
