@@ -32,9 +32,11 @@
 #include <vector>
 
 #include "core/best_interval.h"
+#include "core/bumping.h"
 #include "core/dataset_source.h"
 #include "core/method.h"
 #include "core/prim.h"
+#include "core/quality.h"
 #include "engine/discovery_engine.h"
 #include "ml/gbt.h"
 #include "ml/histogram.h"
@@ -248,6 +250,73 @@ KernelResult BenchPrimBinned(const PerfFlags& flags, int threads) {
     opt = RunPrim(d, d, binned_config, index.get(), binned.get());
   });
   result.identical = SamePrimResult(ref, opt);
+  return result;
+}
+
+// --- PRIM with bumping, the PBc tune: 5 folds x the m grid x Q = 20 -----
+// bootstrap replicates on N=400, as PlanMethod runs it. The reference is
+// the golden replicate loop (a sorted private index per replicate, a full
+// validation pass per box); the fast path indexes each fold once, derives
+// every replicate's index from it and scores nested boxes incrementally.
+// Every box, validation point and fold score must match bit for bit.
+KernelResult BenchBumpingTune(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "bumping_tune";
+  const int n = 400;
+  const int folds = 5;
+  const Dataset d = RandomData(n, flags.dims, flags.seed + 17);
+  const std::vector<int> fold = ml::FoldAssignment(n, folds, flags.seed + 18);
+  const std::vector<int> grid = MGrid(flags.dims);
+  BumpingConfig base;
+  base.q = 20;
+  result.detail = "N=" + std::to_string(n) + " d=" +
+                  std::to_string(flags.dims) + " folds=5 grid=" +
+                  std::to_string(grid.size()) + " Q=20";
+
+  // One fold-outer, grid-inner pass; `fast` selects the path. Returns
+  // every result in loop order plus the per-m score totals.
+  auto tune = [&](bool fast, std::vector<BumpingResult>* runs,
+                  std::vector<double>* totals) {
+    runs->clear();
+    totals->assign(grid.size(), 0.0);
+    for (int f = 0; f < folds; ++f) {
+      std::vector<int> train_rows, test_rows;
+      for (int i = 0; i < n; ++i) {
+        (fold[static_cast<size_t>(i)] == f ? test_rows : train_rows)
+            .push_back(i);
+      }
+      const Dataset train = d.SubsetRows(train_rows);
+      const Dataset holdout = d.SubsetRows(test_rows);
+      const auto index = fast ? ColumnIndex::Build(train) : nullptr;
+      for (size_t g = 0; g < grid.size(); ++g) {
+        BumpingConfig config = base;
+        config.m = grid[g];
+        const uint64_t seed = DeriveSeed(flags.seed + 19, 7000 + f);
+        runs->push_back(
+            fast ? RunPrimBumping(train, train, config, seed, index.get())
+                 : RunPrimBumpingReference(train, train, config, seed));
+        (*totals)[g] += PrAucOnData(runs->back().boxes, holdout);
+      }
+    }
+  };
+  std::vector<BumpingResult> ref_runs, opt_runs;
+  std::vector<double> ref_totals, opt_totals;
+  result.reference_seconds = TimeBest(
+      flags.reps, [&] { tune(false, &ref_runs, &ref_totals); });
+  result.optimized_seconds =
+      TimeBest(flags.reps, [&] { tune(true, &opt_runs, &opt_totals); });
+  result.identical = ref_totals == opt_totals &&
+                     ref_runs.size() == opt_runs.size();
+  for (size_t i = 0; i < ref_runs.size() && result.identical; ++i) {
+    const BumpingResult& a = ref_runs[i];
+    const BumpingResult& b = opt_runs[i];
+    result.identical = a.boxes == b.boxes &&
+                       a.val_curve.size() == b.val_curve.size();
+    for (size_t k = 0; k < a.val_curve.size() && result.identical; ++k) {
+      result.identical = a.val_curve[k].recall == b.val_curve[k].recall &&
+                         a.val_curve[k].precision == b.val_curve[k].precision;
+    }
+  }
   return result;
 }
 
@@ -1399,6 +1468,7 @@ int main(int argc, char** argv) {
         [&] { return BenchPrimBinned(flags, /*threads=*/1); });
   maybe("prim_peel_binned_parallel",
         [&] { return BenchPrimBinned(flags, flags.threads); });
+  maybe("bumping_tune", [&] { return BenchBumpingTune(flags); });
   maybe("gbt_fit", [&] { return BenchGbtFit(flags, /*threads=*/1); });
   maybe("gbt_fit_parallel", [&] { return BenchGbtFit(flags, flags.threads); });
   maybe("gbt_fit_hist", [&] { return BenchGbtHist(flags, /*threads=*/1); });

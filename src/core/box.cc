@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 namespace reds {
@@ -107,6 +108,45 @@ BoxStats ComputeBoxStats(const Dataset& d, const Box& box) {
     }
   }
   return stats;
+}
+
+std::vector<BoxStats> ComputeBoxStatsSequence(const Dataset& d,
+                                              const std::vector<Box>& boxes) {
+  std::vector<BoxStats> out;
+  out.reserve(boxes.size());
+  const Box* prev = nullptr;
+  std::vector<int> rows;  // rows of d inside *prev, ascending
+  for (const Box& box : boxes) {
+    assert(box.dim() == d.num_cols());
+    bool nested = prev != nullptr;
+    for (int j = 0; j < box.dim() && nested; ++j) {
+      nested = box.lo(j) >= prev->lo(j) && box.hi(j) <= prev->hi(j);
+    }
+    if (!nested) {
+      rows.resize(static_cast<size_t>(d.num_rows()));
+      std::iota(rows.begin(), rows.end(), 0);
+    }
+    for (int j = 0; j < box.dim(); ++j) {
+      const double lo = box.lo(j);
+      const double hi = box.hi(j);
+      if (nested && lo == prev->lo(j) && hi == prev->hi(j)) continue;
+      if (lo == -kInf && hi == kInf) continue;
+      size_t kept = 0;
+      for (int r : rows) {
+        const double x = d.x(r, j);
+        if (!(x < lo || x > hi)) rows[kept++] = r;
+      }
+      rows.resize(kept);
+    }
+    BoxStats stats;
+    for (int r : rows) {
+      stats.n += 1.0;
+      stats.n_pos += d.y(r);
+    }
+    out.push_back(stats);
+    prev = &box;
+  }
+  return out;
 }
 
 }  // namespace reds

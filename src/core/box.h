@@ -74,6 +74,15 @@ struct BoxStats {
 /// Counts points of d inside the box (box.dim() must equal d.num_cols()).
 BoxStats ComputeBoxStats(const Dataset& d, const Box& box);
 
+/// ComputeBoxStats(d, boxes[i]) for every i, bit for bit. A box inside its
+/// predecessor (a peeling trajectory) is scored from the rows inside the
+/// predecessor, filtered on the bounds that changed; any other box (the
+/// first, or a pasted box that widened a bound) rescans all rows. Sums run
+/// over the kept rows in row order, ComputeBoxStats' order, so fractional
+/// labels add up identically.
+std::vector<BoxStats> ComputeBoxStatsSequence(const Dataset& d,
+                                              const std::vector<Box>& boxes);
+
 }  // namespace reds
 
 #endif  // REDS_CORE_BOX_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <numeric>
 
 #include "util/rng.h"
@@ -58,10 +59,18 @@ int BumpingResult::BestIndex() const {
 }
 
 BumpingResult RunPrimBumping(const Dataset& train, const Dataset& val,
-                             const BumpingConfig& config, uint64_t seed) {
+                             const BumpingConfig& config, uint64_t seed,
+                             const ColumnIndex* train_index) {
   assert(train.num_rows() > 0);
   const int dims = train.num_cols();
   const int m = config.m > 0 ? std::min(config.m, dims) : dims;
+  std::shared_ptr<const ColumnIndex> owned;
+  if (train_index == nullptr) {
+    owned = ColumnIndex::Build(train);
+    train_index = owned.get();
+  }
+  assert(train_index->num_rows() == train.num_rows());
+  assert(train_index->num_cols() == dims);
 
   std::vector<Box> boxes;
   std::vector<PrPoint> curve;
@@ -78,12 +87,18 @@ BumpingResult RunPrimBumping(const Dataset& train, const Dataset& val,
         d_bs.TotalPositive() == d_bs.num_rows()) {
       continue;  // degenerate bootstrap sample
     }
-    const PrimResult prim = RunPrim(d_bs, d_bs, config.prim);
+    const auto index = ColumnIndex::Resample(*train_index, rows, columns);
+    const PrimResult prim = RunPrim(d_bs, d_bs, config.prim, index.get());
+    // The returned boxes are nested (until a pasted last box), so they
+    // are scored incrementally.
+    std::vector<Box> lifted;
     for (const Box& b : prim.ReturnedBoxes()) {
-      Box lifted = b.LiftToFullSpace(dims, columns);
-      const BoxStats stats = ComputeBoxStats(val, lifted);
-      curve.push_back({Recall(stats, total_val_pos), Precision(stats)});
-      boxes.push_back(std::move(lifted));
+      lifted.push_back(b.LiftToFullSpace(dims, columns));
+    }
+    const std::vector<BoxStats> stats = ComputeBoxStatsSequence(val, lifted);
+    for (size_t i = 0; i < lifted.size(); ++i) {
+      curve.push_back({Recall(stats[i], total_val_pos), Precision(stats[i])});
+      boxes.push_back(std::move(lifted[i]));
     }
   }
 

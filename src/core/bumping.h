@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/column_index.h"
 #include "core/dataset.h"
 #include "core/prim.h"
 
@@ -30,8 +31,22 @@ struct BumpingResult {
 };
 
 /// Runs PRIM with bumping. `seed` drives the bootstrap and feature subsets.
+/// Each replicate's index is derived from `train_index` (an index of
+/// `train`; built once per call when null) by ColumnIndex::Resample, and
+/// each replicate's nested returned boxes are scored on `val`
+/// incrementally. Bit-identical to RunPrimBumpingReference.
 BumpingResult RunPrimBumping(const Dataset& train, const Dataset& val,
-                             const BumpingConfig& config, uint64_t seed);
+                             const BumpingConfig& config, uint64_t seed,
+                             const ColumnIndex* train_index = nullptr);
+
+/// The original replicate loop: every replicate sorts a private index and
+/// every returned box is scored by a full ComputeBoxStats pass. Kept as the
+/// golden reference for equivalence tests and the kernel bench
+/// (core/prim_reference.cc); not used on any production path.
+BumpingResult RunPrimBumpingReference(const Dataset& train,
+                                      const Dataset& val,
+                                      const BumpingConfig& config,
+                                      uint64_t seed);
 
 /// Removes boxes dominated in (recall, precision); ties kept once. Exposed
 /// for tests.

@@ -25,6 +25,17 @@ class ColumnIndex {
   /// share an index).
   static std::shared_ptr<const ColumnIndex> Build(const Dataset& d);
 
+  /// The index Build(d.SubsetRows(rows).SelectColumns(columns)) would
+  /// return, where `parent` indexes d, derived without sorting: each child
+  /// column's order is read off the parent's permutation, so a bootstrap
+  /// replicate (rows may repeat or skip parent rows) costs O(m (N + n))
+  /// for m columns, n rows and a parent of N rows. `rows` holds parent
+  /// row ids, `columns` parent column ids. As with Build, the order of NaN
+  /// values is unspecified.
+  static std::shared_ptr<const ColumnIndex> Resample(
+      const ColumnIndex& parent, const std::vector<int>& rows,
+      const std::vector<int>& columns);
+
   int num_rows() const { return num_rows_; }
   int num_cols() const { return num_cols_; }
 

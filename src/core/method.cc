@@ -285,8 +285,8 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
       base.prim.min_points = options.min_points;
       // The historical loop re-derived identical folds for every m (same
       // seed); fold-outer keeps the fold geometry and the per-fold bumping
-      // seeds (7000 + f) while materializing each fold once for the whole
-      // grid.
+      // seeds (7000 + f) while materializing and indexing each fold once
+      // for the whole grid (every replicate's index derives from it).
       const uint64_t cv_seed = DeriveSeed(options.seed, 17);
       const auto folds = MakeFoldRows(train, options.cv_folds, cv_seed);
       const std::vector<int> grid = MGrid(dims);
@@ -294,11 +294,13 @@ MethodPlan PlanMethod(const MethodSpec& spec, const Dataset& train,
       for (size_t f = 0; f < folds.size(); ++f) {
         const Dataset fold_train = train.SubsetRows(folds[f].train_rows);
         const Dataset fold_holdout = train.SubsetRows(folds[f].test_rows);
+        const auto index = ColumnIndex::Build(fold_train);
         for (size_t g = 0; g < grid.size(); ++g) {
           BumpingConfig config = base;
           config.m = grid[g];
-          const BumpingResult r = RunPrimBumping(
-              fold_train, fold_train, config, DeriveSeed(cv_seed, 7000 + f));
+          const BumpingResult r =
+              RunPrimBumping(fold_train, fold_train, config,
+                             DeriveSeed(cv_seed, 7000 + f), index.get());
           totals[g] += PrAucOnData(r.boxes, fold_holdout);
         }
       }

@@ -234,8 +234,10 @@ class BinnedPeelState {
       removed_pos =
           integral_labels_ ? PrefixSumFast(dim, p) : SumYFirst(dim, p);
     } else {
-      bound = ValueAtInBoxRank(dim, n - 1 - k);
-      int q = CountLessEq(dim, bound);
+      // The high side walks the bins down from the top, so its cost tracks
+      // the k rows it cuts, not the n - k rows it keeps.
+      bound = ValueAtInBoxTopRank(dim, k);
+      int q = n - CountGreater(dim, bound);
       if (q >= n) {
         const int p = CountLess(dim, bound);
         if (p == 0) return peel;  // dimension is constant in box
@@ -243,11 +245,10 @@ class BinnedPeelState {
         q = p;
       }
       removed_n = n - q;
-      // Integral labels: the suffix sum is the exact in-box total minus the
-      // exact prefix sum (both integers).
-      removed_pos = integral_labels_
-                        ? in_stats.n_pos - PrefixSumFast(dim, q)
-                        : SumYTail(dim, q);
+      // Integral labels: the suffix sum is integer-valued, so summing it
+      // from the top equals the in-box total minus the prefix sum.
+      removed_pos = integral_labels_ ? SuffixSumFast(dim, n - q)
+                                     : SumYTail(dim, q);
     }
     if (removed_n >= n) return peel;  // would empty the box
 
@@ -348,6 +349,69 @@ class BinnedPeelState {
     return sum;
   }
 
+  // Sum of y over the last `count` in-box rows of `dim` in value order:
+  // whole-bin aggregates from the top bin down, then the boundary bin's
+  // aggregate minus a masked prefix sum of its part that stays. Only valid
+  // for integral labels, where every association is exact.
+  double SuffixSumFast(int dim, int count) const {
+    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
+    const std::vector<double>& pos_sums = bin_pos_[static_cast<size_t>(dim)];
+    const std::vector<int>& sorted = index_.sorted_rows(dim);
+    int cum = 0;
+    double sum = 0.0;
+    for (int b = static_cast<int>(counts.size()) - 1; b >= 0; --b) {
+      const int c = counts[static_cast<size_t>(b)];
+      if (cum + c <= count) {
+        cum += c;
+        sum += pos_sums[static_cast<size_t>(b)];
+        if (cum == count) return sum;
+        continue;
+      }
+      const int begin = std::max(binned_.bin_begin_rank(dim, b),
+                                 lo_rank_[static_cast<size_t>(dim)]);
+      const int end = std::min(binned_.bin_begin_rank(dim, b + 1),
+                               hi_rank_[static_cast<size_t>(dim)]);
+      const int stay = c - (count - cum);
+      sum += pos_sums[static_cast<size_t>(b)] -
+             util::MaskedPrefixSum(train_.y_data(), in_box_.data(),
+                                   sorted.data() + begin, end - begin, stay);
+      return sum;
+    }
+    return sum;
+  }
+
+  // Value of the rank-th in-box row of `dim` counted from the top (rank 0 is
+  // the largest; equals ValueAtInBoxRank(dim, n - 1 - rank)): suffix counts
+  // over the bin histogram pick the bin, then a backward scan of its
+  // permutation segment finds the row.
+  double ValueAtInBoxTopRank(int dim, int rank) const {
+    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
+    const std::vector<int>& sorted = index_.sorted_rows(dim);
+    const std::vector<double>& col = index_.column(dim);
+    int cum = 0;
+    for (int b = static_cast<int>(counts.size()) - 1; b >= 0; --b) {
+      const int c = counts[static_cast<size_t>(b)];
+      if (cum + c <= rank) {
+        cum += c;
+        continue;
+      }
+      int need = rank - cum;
+      const int begin = std::max(binned_.bin_begin_rank(dim, b),
+                                 lo_rank_[static_cast<size_t>(dim)]);
+      const int end = std::min(binned_.bin_begin_rank(dim, b + 1),
+                               hi_rank_[static_cast<size_t>(dim)]);
+      for (int pos = end - 1; pos >= begin; --pos) {
+        const int r = sorted[static_cast<size_t>(pos)];
+        if (!in_box_[static_cast<size_t>(r)]) continue;
+        if (need == 0) return col[static_cast<size_t>(r)];
+        --need;
+      }
+      break;
+    }
+    assert(false && "in-box rank out of range");
+    return 0.0;
+  }
+
   // Value of the rank-th in-box row of `dim` (ascending by value, ties by
   // row id): prefix counts over the bin histogram pick the bin, then a scan
   // of its permutation segment finds the row.
@@ -433,6 +497,32 @@ class BinnedPeelState {
         return cum;
       }
       cum += counts[b];
+    }
+    return cum;
+  }
+
+  // Number of in-box rows of `dim` with value > v (v is a data value),
+  // walking down from the top bin: whole bins above v from the histogram,
+  // the boundary bin as its count minus an exact masked count of <= v.
+  int CountGreater(int dim, double v) const {
+    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
+    const std::vector<int>& sorted = index_.sorted_rows(dim);
+    const std::vector<double>& col = index_.column(dim);
+    int cum = 0;
+    for (int b = static_cast<int>(counts.size()) - 1; b >= 0; --b) {
+      if (binned_.bin_first(dim, b) <= v) {
+        if (binned_.bin_last(dim, b) <= v) return cum;
+        const int begin = std::max(binned_.bin_begin_rank(dim, b),
+                                   lo_rank_[static_cast<size_t>(dim)]);
+        const int end = std::min(binned_.bin_begin_rank(dim, b + 1),
+                                 hi_rank_[static_cast<size_t>(dim)]);
+        cum += counts[static_cast<size_t>(b)] -
+               util::MaskedCountBelow(col.data(), in_box_.data(),
+                                      sorted.data() + begin, end - begin, v,
+                                      /*strict=*/false);
+        return cum;
+      }
+      cum += counts[static_cast<size_t>(b)];
     }
     return cum;
   }

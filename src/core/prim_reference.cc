@@ -1,13 +1,20 @@
 // Reference scalar PRIM: the original full-rescan implementation, kept as
 // the golden baseline the sorted-index kernel in prim.cc is verified against
 // (tests/prim_equivalence_test.cc) and benchmarked against
-// (bench/bench_perf_kernels.cc). Not used on any production path.
+// (bench/bench_perf_kernels.cc). Beside it, the original bumping replicate
+// loop (a private sorted index per replicate, a full validation pass per
+// box), the golden baseline of core/bumping.cc
+// (tests/bumping_covering_test.cc). Not used on any production path.
 #include "core/prim.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
+
+#include "core/bumping.h"
+#include "util/rng.h"
 
 namespace reds {
 
@@ -289,6 +296,64 @@ PrimResult RunPrimReference(const Dataset& train, const Dataset& val,
     }
   }
 
+  return result;
+}
+
+BumpingResult RunPrimBumpingReference(const Dataset& train,
+                                      const Dataset& val,
+                                      const BumpingConfig& config,
+                                      uint64_t seed) {
+  assert(train.num_rows() > 0);
+  const int dims = train.num_cols();
+  const int m = config.m > 0 ? std::min(config.m, dims) : dims;
+
+  std::vector<Box> boxes;
+  std::vector<PrPoint> curve;
+  const double total_val_pos = val.TotalPositive();
+
+  for (int rep = 0; rep < config.q; ++rep) {
+    Rng rng(DeriveSeed(seed, static_cast<uint64_t>(rep)));
+    const std::vector<int> rows = rng.BootstrapIndices(train.num_rows());
+    std::vector<int> columns = rng.SampleWithoutReplacement(dims, m);
+    std::sort(columns.begin(), columns.end());
+
+    Dataset d_bs = train.SubsetRows(rows).SelectColumns(columns);
+    if (d_bs.TotalPositive() == 0.0 ||
+        d_bs.TotalPositive() == d_bs.num_rows()) {
+      continue;  // degenerate bootstrap sample
+    }
+    const PrimResult prim = RunPrim(d_bs, d_bs, config.prim);
+    for (const Box& b : prim.ReturnedBoxes()) {
+      Box lifted = b.LiftToFullSpace(dims, columns);
+      const BoxStats stats = ComputeBoxStats(val, lifted);
+      curve.push_back({Recall(stats, total_val_pos), Precision(stats)});
+      boxes.push_back(std::move(lifted));
+    }
+  }
+
+  if (boxes.empty()) {
+    // Every bootstrap sample was degenerate; fall back to the full box.
+    Box full = Box::Unbounded(dims);
+    const BoxStats stats = ComputeBoxStats(val, full);
+    curve.push_back({Recall(stats, total_val_pos), Precision(stats)});
+    boxes.push_back(std::move(full));
+  }
+
+  ParetoFilter(&boxes, &curve);
+
+  // Sort by decreasing recall so the sequence reads like a peeling trajectory.
+  std::vector<size_t> order(boxes.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return curve[a].recall > curve[b].recall;
+  });
+  BumpingResult result;
+  result.boxes.reserve(boxes.size());
+  result.val_curve.reserve(boxes.size());
+  for (size_t i : order) {
+    result.boxes.push_back(std::move(boxes[i]));
+    result.val_curve.push_back(curve[i]);
+  }
   return result;
 }
 

@@ -3,10 +3,12 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/box.h"
 #include "core/dataset.h"
 #include "core/quality.h"
+#include "util/rng.h"
 
 namespace reds {
 namespace {
@@ -115,6 +117,53 @@ TEST(BoxTest, LiftToFullSpace) {
   EXPECT_FALSE(full.IsRestricted(0));
   EXPECT_FALSE(full.IsRestricted(2));
   EXPECT_FALSE(full.IsRestricted(4));
+}
+
+TEST(BoxTest, StatsSequenceMatchesPerBoxStats) {
+  // Fractional labels make the summation order visible. Row 0's NaN input
+  // passes every bound on its dimension (no comparison excludes it), as in
+  // ComputeBoxStats.
+  Rng rng(7);
+  Dataset d(3);
+  d.AddRow(std::vector<double>{0.35, std::nan(""), 0.5}, 0.625);
+  for (int i = 1; i < 400; ++i) {
+    const double x[3] = {rng.Uniform(), rng.Uniform(),
+                         static_cast<double>(rng.UniformInt(4)) / 4.0};
+    d.AddRow(x, rng.LogitNormal(x[0] < 0.5 ? 1.0 : -1.0, 0.9));
+  }
+  auto make = [](double lo0, double hi0, double lo1, double hi1, double lo2,
+                 double hi2) {
+    Box b = Box::Unbounded(3);
+    b.set_lo(0, lo0);
+    b.set_hi(0, hi0);
+    b.set_lo(1, lo1);
+    b.set_hi(1, hi1);
+    b.set_lo(2, lo2);
+    b.set_hi(2, hi2);
+    return b;
+  };
+  const std::vector<Box> boxes = {
+      Box::Unbounded(3),
+      make(0.1, kInf, -kInf, kInf, -kInf, kInf),   // raise a lo
+      make(0.1, 0.9, -kInf, kInf, -kInf, kInf),    // drop a hi
+      make(0.1, 0.9, 0.2, 0.8, 0.25, 0.75),        // several bounds at once
+      make(0.1, 0.9, 0.2, 0.8, 0.25, 0.75),        // unchanged
+      make(0.05, 0.9, 0.2, 0.8, 0.25, 0.75),       // widened lo: rescan
+      make(0.05, 0.95, 0.2, 0.8, 0.25, 0.75),      // widened hi: rescan
+      make(0.3, 0.4, 0.3, 0.35, 0.5, 0.5),         // nested, tiny
+      make(0.6, 0.7, 0.3, 0.35, 0.5, 0.5),         // disjoint: rescan
+      make(0.65, 0.64, -kInf, kInf, -kInf, kInf),  // empty
+      Box::Unbounded(3),                           // restart
+      make(-kInf, 0.5, -kInf, kInf, 0.5, kInf),
+  };
+  const std::vector<BoxStats> seq = ComputeBoxStatsSequence(d, boxes);
+  ASSERT_EQ(seq.size(), boxes.size());
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    const BoxStats one = ComputeBoxStats(d, boxes[i]);
+    EXPECT_EQ(seq[i].n, one.n) << "box " << i;
+    EXPECT_EQ(seq[i].n_pos, one.n_pos) << "box " << i;
+  }
+  EXPECT_TRUE(ComputeBoxStatsSequence(d, {}).empty());
 }
 
 TEST(BoxTest, ToStringRendersRule) {

@@ -1,6 +1,10 @@
-// Tests for PRIM with bumping (Pareto filtering, feature subsets) and the
-// covering approach.
+// Tests for PRIM with bumping (Pareto filtering, feature subsets, golden
+// equivalence of the derived-index replicate loop against
+// RunPrimBumpingReference) and the covering approach.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/bumping.h"
 #include "core/covering.h"
@@ -91,6 +95,132 @@ TEST(BumpingTest, DeterministicForSameSeed) {
   for (size_t i = 0; i < a.boxes.size(); ++i) {
     EXPECT_TRUE(a.boxes[i] == b.boxes[i]);
   }
+}
+
+// Mixed-resolution data for the golden comparisons: continuous columns, a
+// few-valued column (ties across parent rows), and hard or fractional
+// labels with roughly `pos_share` positives.
+Dataset GoldenData(int n, uint64_t seed, bool fractional,
+                   double pos_share = 0.35) {
+  Rng rng(seed);
+  Dataset d(4);
+  for (int i = 0; i < n; ++i) {
+    const double x[4] = {rng.Uniform(), rng.Uniform(),
+                         static_cast<double>(rng.UniformInt(5)) / 5.0,
+                         rng.Uniform()};
+    const bool in_box = x[0] < 0.4 && x[2] >= 0.4;
+    const double p = in_box ? 0.85 : pos_share * 0.5;
+    d.AddRow(x, fractional ? rng.LogitNormal(in_box ? 1.0 : -1.0, 0.8)
+                           : (rng.Bernoulli(p) ? 1.0 : 0.0));
+  }
+  return d;
+}
+
+// RunPrimBumping, with and without a parent index, must equal the golden
+// replicate loop bit for bit: boxes and validation curve.
+void ExpectSameAsReference(const Dataset& train, const Dataset& val,
+                           const BumpingConfig& config, uint64_t seed,
+                           const std::string& label) {
+  const BumpingResult ref =
+      RunPrimBumpingReference(train, val, config, seed);
+  const auto index = ColumnIndex::Build(train);
+  for (const ColumnIndex* parent : {static_cast<const ColumnIndex*>(nullptr),
+                                    index.get()}) {
+    const std::string where =
+        label + (parent == nullptr ? " (own index)" : " (parent index)");
+    const BumpingResult opt =
+        RunPrimBumping(train, val, config, seed, parent);
+    ASSERT_EQ(opt.boxes.size(), ref.boxes.size()) << where;
+    ASSERT_EQ(opt.val_curve.size(), ref.val_curve.size()) << where;
+    for (size_t i = 0; i < ref.boxes.size(); ++i) {
+      EXPECT_TRUE(opt.boxes[i] == ref.boxes[i]) << where << " box " << i;
+      EXPECT_EQ(opt.val_curve[i].recall, ref.val_curve[i].recall)
+          << where << " box " << i;
+      EXPECT_EQ(opt.val_curve[i].precision, ref.val_curve[i].precision)
+          << where << " box " << i;
+    }
+  }
+}
+
+TEST(BumpingGoldenTest, HardAndFractionalLabels) {
+  for (bool fractional : {false, true}) {
+    for (uint64_t seed : {101u, 102u}) {
+      const Dataset d = GoldenData(300, seed, fractional);
+      BumpingConfig config;
+      config.q = 12;
+      ExpectSameAsReference(d, d, config, seed + 7,
+                            "fractional=" + std::to_string(fractional) +
+                                " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(BumpingGoldenTest, SeparateValidationData) {
+  for (bool fractional : {false, true}) {
+    const Dataset train = GoldenData(260, 111, fractional);
+    const Dataset val = GoldenData(410, 112, fractional);
+    BumpingConfig config;
+    config.q = 10;
+    config.prim.alpha = 0.1;
+    ExpectSameAsReference(train, val, config, 113,
+                          "train != val fractional=" +
+                              std::to_string(fractional));
+  }
+}
+
+TEST(BumpingGoldenTest, FeatureSubsets) {
+  const Dataset d = GoldenData(320, 121, /*fractional=*/false);
+  for (int m : {1, 2, 3}) {
+    BumpingConfig config;
+    config.q = 10;
+    config.m = m;
+    ExpectSameAsReference(d, d, config, 122, "m=" + std::to_string(m));
+  }
+}
+
+TEST(BumpingGoldenTest, PastedTrajectoriesAreNotNested) {
+  // Pasting widens the selected box, so the returned sequence's last box
+  // may leave its predecessor; the incremental scorer must restart.
+  for (bool fractional : {false, true}) {
+    const Dataset train = GoldenData(300, 131, fractional);
+    const Dataset val = GoldenData(200, 132, fractional);
+    BumpingConfig config;
+    config.q = 12;
+    config.prim.alpha = 0.1;
+    config.prim.paste = true;
+    config.prim.paste_alpha = 0.05;
+    ExpectSameAsReference(train, val, config, 133,
+                          "paste fractional=" + std::to_string(fractional));
+    ExpectSameAsReference(train, train, config, 134,
+                          "paste val=train fractional=" +
+                              std::to_string(fractional));
+  }
+}
+
+TEST(BumpingGoldenTest, DegenerateReplicates) {
+  // Three positives in 40 rows: many bootstraps draw none and are skipped.
+  Dataset sparse(3);
+  Rng rng(141);
+  for (int i = 0; i < 40; ++i) {
+    const double x[3] = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+    sparse.AddRow(x, i % 13 == 5 ? 1.0 : 0.0);
+  }
+  BumpingConfig config;
+  config.q = 20;
+  config.prim.min_points = 5;
+  ExpectSameAsReference(sparse, sparse, config, 142, "sparse positives");
+
+  // No positives at all: every replicate is degenerate and both fall back
+  // to the unbounded box.
+  Dataset none(2);
+  for (int i = 0; i < 30; ++i) {
+    const double x[2] = {rng.Uniform(), rng.Uniform()};
+    none.AddRow(x, 0.0);
+  }
+  ExpectSameAsReference(none, none, config, 143, "no positives");
+  const BumpingResult r = RunPrimBumping(none, none, config, 143);
+  ASSERT_EQ(r.boxes.size(), 1u);
+  EXPECT_EQ(r.boxes[0].NumRestricted(), 0);
 }
 
 TEST(CoveringTest, FindsBothPlantedSubgroups) {

@@ -6,7 +6,9 @@
 // those cases assert near-equality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/best_interval.h"
@@ -186,6 +188,91 @@ TEST(PrimEquivalenceTest, ParallelCandidateEvaluationMatchesSerial) {
     const PrimResult serial_run = RunPrim(d, d, serial_config);
     const PrimResult parallel_run = RunPrim(d, d, parallel_config);
     ExpectSamePrimResult(serial_run, parallel_run, "parallel candidates");
+  }
+}
+
+// Data whose best peels are mostly high-side cuts: positives sit low in
+// x0 and x1, x2 piles a fifth of its rows onto its top value (the high
+// side's tie fallback), and x3 is constant (no valid cut on either side).
+// `distinct` > 0 snaps x0, x1 to that many values.
+Dataset HighSideData(int n, uint64_t seed, bool fractional, int distinct) {
+  Rng rng(seed);
+  Dataset d(4);
+  auto draw = [&] {
+    return distinct > 0 ? static_cast<double>(rng.UniformInt(
+                              static_cast<uint64_t>(distinct))) /
+                              distinct
+                        : rng.Uniform();
+  };
+  for (int i = 0; i < n; ++i) {
+    const double x[4] = {draw(), draw(), std::min(rng.Uniform(), 0.8), 0.5};
+    const bool in_box = x[0] < 0.55 && x[1] < 0.6 && x[2] < 0.8;
+    d.AddRow(x, fractional ? rng.LogitNormal(in_box ? 1.2 : -1.2, 0.7)
+                           : (rng.Bernoulli(in_box ? 0.8 : 0.1) ? 1.0 : 0.0));
+  }
+  return d;
+}
+
+TEST(PrimEquivalenceTest, BinnedHighSideCutsInsidePartlyEmptiedBins) {
+  // More rows than bins (and, with 900 distinct values, more values than
+  // bins): high-side bounds land inside bins that earlier peels on other
+  // dimensions have partly emptied. Hard labels take the binned kernel's
+  // top-down suffix sum and must match the reference bit for bit;
+  // fractional labels take SumYTail and must match the sorted kernel bit
+  // for bit (the reference sums in row order, so only its geometry is
+  // compared exactly).
+  for (int distinct : {0, 900}) {
+    for (double alpha : {0.03, 0.1}) {
+      const std::string label = "distinct=" + std::to_string(distinct) +
+                                " alpha=" + std::to_string(alpha);
+      PrimConfig config;
+      config.alpha = alpha;
+      config.backend = PrimPeelBackend::kBinned;
+      PrimConfig sorted_config = config;
+      sorted_config.backend = PrimPeelBackend::kSorted;
+
+      const Dataset hard = HighSideData(2500, 161, false, distinct);
+      ExpectSamePrimResult(RunPrimReference(hard, hard, config),
+                           RunPrim(hard, hard, config), "hard " + label);
+
+      const Dataset frac = HighSideData(2500, 162, true, distinct);
+      const PrimResult binned = RunPrim(frac, frac, config);
+      ExpectSamePrimResult(RunPrim(frac, frac, sorted_config), binned,
+                           "fractional " + label);
+      const PrimResult ref = RunPrimReference(frac, frac, config);
+      ASSERT_EQ(ref.boxes.size(), binned.boxes.size()) << label;
+      for (size_t i = 0; i < ref.boxes.size(); ++i) {
+        EXPECT_TRUE(ref.boxes[i] == binned.boxes[i]) << label << " box " << i;
+        EXPECT_NEAR(ref.val_curve[i].precision, binned.val_curve[i].precision,
+                    1e-12);
+      }
+    }
+  }
+}
+
+TEST(PrimEquivalenceTest, BinnedHighSideTiesAtTheTopAndConstantColumns) {
+  // Small boxes where x2's top value holds more than the cut (q >= n, the
+  // fallback moves below the tied block) and x3 is constant in the box
+  // (no candidate); a separate validation set and min_points = 5 let the
+  // peel run deep into single-bin boxes.
+  for (uint64_t seed : {171u, 172u, 173u}) {
+    for (bool fractional : {false, true}) {
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " fractional=" + std::to_string(fractional);
+      const Dataset train = HighSideData(400, seed, fractional, 7);
+      const Dataset val = HighSideData(300, seed + 50, fractional, 7);
+      PrimConfig config;
+      config.alpha = 0.2;
+      config.min_points = 5;
+      PrimConfig sorted_config = config;
+      sorted_config.backend = PrimPeelBackend::kSorted;
+      const PrimResult binned = RunPrim(train, val, config);
+      ExpectSamePrimResult(RunPrim(train, val, sorted_config), binned, label);
+      if (!fractional) {
+        ExpectSamePrimResult(RunPrimReference(train, val, config), binned,
+                             label + " vs reference");
+      }
+    }
   }
 }
 
