@@ -628,6 +628,62 @@ KernelResult BenchPrimStreamed(const PerfFlags& flags) {
   return result;
 }
 
+// --- Warm peel: RunPrimStreamed as a warm request runs it -- on a cached
+// relabeling with its prebuilt bin totals, validated on a separate sample
+// -- against the golden reference that rebuilds every candidate's bin
+// histogram from a full row scan. The shape is the serving one (L=20k,
+// M=10, continuous columns, so sketch bins) in every mode. Boxes, both
+// curves and the selected index must match bit for bit, also for the run
+// that counts its own totals.
+KernelResult BenchWarmPeel(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "warm_peel";
+  const int l = 20000;
+  const int dims = 10;
+  const auto data =
+      std::make_shared<Dataset>(RandomData(l, dims, flags.seed + 23));
+  const Dataset val = RandomData(2000, dims, flags.seed + 24);
+  MatrixSource source(data);
+  const Result<StreamedDataset> streamed = BinnedIndex::BuildStreamed(&source);
+  PrimConfig config;
+  config.alpha = 0.05;
+  result.detail = "L=20000 d=10 alpha=0.05 sketch val=2000";
+  if (!streamed.ok() ||
+      streamed->index->kind() != BinnedIndex::BuildKind::kSketch) {
+    result.identical = false;
+    return result;
+  }
+  const BinnedIndex& index = *streamed->index;
+  const auto totals = StreamedBinTotals::Build(index, streamed->y);
+
+  PrimResult ref, opt;
+  result.reference_seconds = TimeBest(flags.reps, [&] {
+    ref = RunPrimStreamedReference(index, streamed->y, config, &val);
+  });
+  result.optimized_seconds = TimeBest(flags.reps, [&] {
+    opt = RunPrimStreamed(index, streamed->y, config, &val, totals.get());
+  });
+  const PrimResult uncached =
+      RunPrimStreamed(index, streamed->y, config, &val);
+  const auto same = [](const PrimResult& a, const PrimResult& b) {
+    if (!SamePrimResult(a, b) || a.val_curve.size() != b.val_curve.size() ||
+        a.train_curve.size() != b.train_curve.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < a.val_curve.size(); ++i) {
+      if (a.val_curve[i].precision != b.val_curve[i].precision ||
+          a.val_curve[i].recall != b.val_curve[i].recall ||
+          a.train_curve[i].precision != b.train_curve[i].precision ||
+          a.train_curve[i].recall != b.train_curve[i].recall) {
+        return false;
+      }
+    }
+    return true;
+  };
+  result.identical = same(ref, opt) && same(ref, uncached);
+  return result;
+}
+
 // Grid-valued sampler: every sampled column has `distinct` values, keeping
 // the REDS streamed-vs-materialized pair in the exact-pack regime where
 // the results must match bit for bit.
@@ -1484,6 +1540,7 @@ int main(int argc, char** argv) {
   maybe("binned_build_streamed_parallel",
         [&] { return BenchStreamedBuild(flags, flags.threads); });
   maybe("prim_peel_streamed", [&] { return BenchPrimStreamed(flags); });
+  maybe("warm_peel", [&] { return BenchWarmPeel(flags); });
   maybe("reds_relabel_streamed",
         [&] { return BenchRedsRelabelStreamed(flags); });
   maybe("relabel_label_f", [&] {

@@ -564,6 +564,38 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
   return out;
 }
 
+std::shared_ptr<const StreamedBinTotals> StreamedBinTotals::Build(
+    const BinnedIndex& index, const std::vector<double>& y) {
+  assert(static_cast<int>(y.size()) == index.num_rows());
+  auto totals = std::make_shared<StreamedBinTotals>();
+  totals->integral_labels = true;
+  for (const double v : y) {
+    totals->label_total += v;
+    totals->integral_labels =
+        totals->integral_labels && (v == 0.0 || v == 1.0);
+  }
+  const int m = index.num_cols();
+  totals->offset.resize(static_cast<size_t>(m) + 1);
+  for (int j = 0; j < m; ++j) {
+    totals->offset[static_cast<size_t>(j) + 1] =
+        totals->offset[static_cast<size_t>(j)] + index.num_bins(j);
+  }
+  totals->cells.resize(static_cast<size_t>(totals->offset.back()));
+  for (int j = 0; j < m; ++j) {
+    int64_t* cells =
+        totals->cells.data() + totals->offset[static_cast<size_t>(j)];
+    for (int b = 0; b < index.num_bins(j); ++b) {
+      cells[b] = index.bin_begin_rank(j, b + 1) - index.bin_begin_rank(j, b);
+    }
+    if (!totals->integral_labels) continue;
+    const ColumnView<uint8_t> codes = index.codes(j);
+    for (size_t r = 0; r < y.size(); ++r) {
+      cells[codes[r]] += static_cast<int64_t>(y[r]) << kPosShift;
+    }
+  }
+  return totals;
+}
+
 // Stable counting sort of each column's rows by bin code: rows ascending by
 // (code, row id) -- exactly the ColumnIndex sort order whenever every bin
 // holds a single distinct value.

@@ -227,14 +227,40 @@ struct ColumnBinLayout {
 /// applies it to the fleet-summed stats and gets the identical layout.
 ColumnBinLayout AssembleColumnBins(const BinCodingStats& stats, int n);
 
+/// The starting aggregates of a streamed PRIM peel over (index, y): per
+/// (column, bin) the row count and the positive count, packed into one
+/// int64 cell (rows in the low 32 bits, positives in the high 32 bits), so
+/// a whole-bin subtraction updates both at once. They are the same for
+/// every peel on the same data; a cache entry builds them once and each
+/// peel copies O(M x bins) cells instead of counting L x M codes.
+struct StreamedBinTotals {
+  static constexpr int kPosShift = 32;
+
+  static int Rows(int64_t cell) { return static_cast<int>(cell & 0xffffffff); }
+  static int64_t Positives(int64_t cell) { return cell >> kPosShift; }
+
+  /// One pass over the codes. Positives are counted only when every label
+  /// is exactly 0 or 1 (integral_labels); fractional labels leave the high
+  /// halves zero and their peels sum y in order instead.
+  static std::shared_ptr<const StreamedBinTotals> Build(
+      const BinnedIndex& index, const std::vector<double>& y);
+
+  std::vector<int64_t> cells;  // column j's bins at [offset[j], offset[j+1])
+  std::vector<int> offset;     // size num_cols + 1
+  bool integral_labels = false;
+  double label_total = 0.0;    // sum of y in row order
+};
+
 /// What streaming ingestion yields: the quantized index, the label vector,
 /// and both fingerprints hashed incrementally over the chunk stream --
-/// never the raw double matrix.
+/// never the raw double matrix. `totals` is null as BuildStreamed returns
+/// it; whoever caches the dataset for repeated peels builds it once.
 struct StreamedDataset {
   std::shared_ptr<const BinnedIndex> index;
   std::vector<double> y;
   uint64_t input_fingerprint = 0;  // == engine::FingerprintInputs
   uint64_t fingerprint = 0;        // == engine::FingerprintDataset
+  std::shared_ptr<const StreamedBinTotals> totals;
 };
 
 /// Immutable per-dataset feature quantization. Thread-safe to share.

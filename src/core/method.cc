@@ -362,8 +362,12 @@ MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
         throw std::runtime_error("streamed REDS relabeling failed: " +
                                  streamed.status().ToString());
       }
-      return std::make_shared<const StreamedDataset>(
-          std::move(streamed).value());
+      // Every warm request on this relabeling peels it again: count its
+      // bin totals once, here, rather than once per peel.
+      auto data =
+          std::make_shared<StreamedDataset>(std::move(streamed).value());
+      data->totals = StreamedBinTotals::Build(*data->index, data->y);
+      return std::shared_ptr<const StreamedDataset>(std::move(data));
     };
     // The finished product of the stream -- quantized index + O(L) labels
     // -- is cacheable through the engine's relabel-stream hook. A custom
@@ -384,7 +388,8 @@ MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
     PrimConfig config;
     config.alpha = plan.alpha;
     config.min_points = options.min_points;
-    const PrimResult r = RunPrimStreamed(*data->index, data->y, config, &train);
+    const PrimResult r = RunPrimStreamed(*data->index, data->y, config, &train,
+                                         data->totals.get());
     out.trajectory = r.ReturnedBoxes();
     out.last_box = r.BestBox();
     return out;
@@ -472,8 +477,7 @@ MethodOutput RunMethod(const MethodSpec& spec, const Dataset& train,
 }
 
 MethodOutput RunMethodOnStream(const MethodSpec& spec,
-                               const BinnedIndex& binned,
-                               const std::vector<double>& y,
+                               const StreamedDataset& data,
                                const RunOptions& options) {
   if (spec.reds || spec.tuned || spec.family != MethodSpec::Family::kPrim) {
     throw std::invalid_argument(
@@ -484,11 +488,12 @@ MethodOutput RunMethodOnStream(const MethodSpec& spec,
   const auto start = std::chrono::steady_clock::now();
   MethodOutput out;
   out.chosen_alpha = options.default_alpha;
-  out.chosen_m = binned.num_cols();
+  out.chosen_m = data.index->num_cols();
   PrimConfig config;
   config.alpha = options.default_alpha;
   config.min_points = options.min_points;
-  const PrimResult r = RunPrimStreamed(binned, y, config);
+  const PrimResult r = RunPrimStreamed(*data.index, data.y, config,
+                                       /*val=*/nullptr, data.totals.get());
   out.trajectory = r.ReturnedBoxes();
   out.last_box = r.BestBox();
   out.runtime_seconds =

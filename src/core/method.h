@@ -163,11 +163,11 @@ MethodOutput RunMethod(const MethodSpec& spec, const Dataset& train,
 /// untuned plain PRIM family ("P"); everything else needs raw doubles
 /// (tuning folds, metamodel training, BI/bumping scans) and must go
 /// through RunMethod on a materialized dataset. Throws
-/// std::invalid_argument for unsupported specs. `binned` must carry its
-/// own permutation (BuildStreamed output); `y` holds one label per row.
+/// std::invalid_argument for unsupported specs. `data.index` must carry
+/// its own permutation (BuildStreamed output); `data.totals`, when set,
+/// spares the peel counting its bins.
 MethodOutput RunMethodOnStream(const MethodSpec& spec,
-                               const BinnedIndex& binned,
-                               const std::vector<double>& y,
+                               const StreamedDataset& data,
                                const RunOptions& options);
 
 /// Cross-validates the peeling fraction for plain PRIM over the paper's grid

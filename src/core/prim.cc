@@ -600,53 +600,38 @@ class BinnedPeelState {
 // one distinct value per bin this reproduces PeelState's decisions exactly
 // (same candidate counts, same tie handling, same removed sums); with
 // wider bins every cut is within the binning's rank error of the exact
-// kernel's. Apply mirrors BinnedPeelState: walk only the removed window of
-// the peeled dimension's permutation, decrementing per-bin aggregates.
+// kernel's.
+//
+// The in-box aggregates are StreamedBinTotals cells, copied from the
+// dataset's prebuilt totals, so a peel pays only for the rows it removes:
+// Apply walks the removed window of the peeled dimension's permutation
+// once and subtracts each removed row's packed (1 row, y positives) delta
+// from every other column's cell, a column at a time.
 class CodePeelState {
  public:
-  CodePeelState(const BinnedIndex& binned, const std::vector<double>& y)
+  CodePeelState(const BinnedIndex& binned, const std::vector<double>& y,
+                const StreamedBinTotals& totals)
       : binned_(binned),
         y_(y),
         in_box_(static_cast<size_t>(binned.num_rows()), 1),
-        n_(binned.num_rows()) {
+        n_(binned.num_rows()),
+        // Integral {0,1} labels make every removed-mass sum an exact
+        // integer, read from the cells' positive halves; fractional labels
+        // fall back to ordered permutation scans, which accumulate in
+        // (bin, row id) order -- the sorted kernel's exact order when bins
+        // are single values.
+        integral_labels_(totals.integral_labels),
+        cells_(totals.cells),
+        offset_(totals.offset) {
     assert(binned.has_sorted_rows());
+    assert(static_cast<int>(offset_.size()) == binned.num_cols() + 1);
     const int m = binned.num_cols();
     const int n = binned.num_rows();
     lo_rank_.assign(static_cast<size_t>(m), 0);
     hi_rank_.assign(static_cast<size_t>(m), n);
-    // As in BinnedPeelState: integral {0,1} labels make every removed-mass
-    // sum integer-exact from per-bin aggregates; fractional labels fall
-    // back to ordered permutation scans, which accumulate in (bin, row id)
-    // order -- the sorted kernel's exact order when bins are single values.
-    integral_labels_ = true;
-    for (int r = 0; r < n && integral_labels_; ++r) {
-      integral_labels_ = y[static_cast<size_t>(r)] == 0.0 ||
-                         y[static_cast<size_t>(r)] == 1.0;
-    }
-    bin_count_.resize(static_cast<size_t>(m));
-    bin_pos_.resize(static_cast<size_t>(m));
-    for (int j = 0; j < m; ++j) {
-      std::vector<int>& counts = bin_count_[static_cast<size_t>(j)];
-      std::vector<double>& pos = bin_pos_[static_cast<size_t>(j)];
-      counts.resize(static_cast<size_t>(binned.num_bins(j)));
-      pos.assign(static_cast<size_t>(binned.num_bins(j)), 0.0);
-      const ColumnView<int> sorted = binned.sorted_rows(j);
-      for (int b = 0; b < binned.num_bins(j); ++b) {
-        const int begin = binned.bin_begin_rank(j, b);
-        const int len = binned.bin_begin_rank(j, b + 1) - begin;
-        counts[static_cast<size_t>(b)] = len;
-        if (integral_labels_) {
-          // Reordering the gather-sum is exact for integer-valued labels.
-          pos[static_cast<size_t>(b)] =
-              util::GatherSum(y.data(), sorted.data() + begin, len);
-        } else {
-          for (int rank = begin; rank < begin + len; ++rank) {
-            pos[static_cast<size_t>(b)] +=
-                y[static_cast<size_t>(sorted[static_cast<size_t>(rank)])];
-          }
-        }
-      }
-    }
+    const size_t block = static_cast<size_t>(std::min(n, kApplyBlock));
+    removed_rows_.resize(block);
+    removed_delta_.resize(block);
   }
 
   Peel MakeCandidate(int dim, bool low_side, double alpha,
@@ -656,76 +641,87 @@ class CodePeelState {
     const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
     if (k >= n) return peel;  // would empty the box
 
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
+    const int64_t* cells = Cells(dim);
+    const int bins = binned_.num_bins(dim);
+    // One walk per candidate. `cut` accumulates the packed cells of the bins
+    // the peel removes; its low half is their row count, its high half
+    // their positives.
+    int64_t cut = 0;
     int b;
     if (low_side) {
-      b = BinAtInBoxRank(dim, k);
-      int p;
-      double pos_below;
-      PrefixBelow(dim, b, &p, &pos_below);
-      if (p == 0) {
+      // Bins from the bottom until the one holding in-box rank k.
+      b = 0;
+      while (StreamedBinTotals::Rows(cut + cells[b]) <= k) cut += cells[b++];
+      if (StreamedBinTotals::Rows(cut) == 0) {
         // The cut was swallowed by the boundary bin: move past it, exactly
         // like the exact kernel moves past a tied block.
-        const int q =
-            p + bin_count_[static_cast<size_t>(dim)][static_cast<size_t>(b)];
-        if (q >= n) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, q);
-        PrefixBelow(dim, b, &p, &pos_below);
+        cut = cells[b++];
+        if (StreamedBinTotals::Rows(cut) >= n) return peel;  // constant
+        while (StreamedBinTotals::Rows(cells[b]) == 0) ++b;
       }
-      removed_n = p;
-      removed_pos = integral_labels_ ? pos_below : SumYFirst(dim, p);
       peel.bound = binned_.bin_first(dim, b);
     } else {
-      b = BinAtInBoxRank(dim, n - 1 - k);
-      int q;
-      double pos_through;
-      PrefixThrough(dim, b, &q, &pos_through);
-      if (q >= n) {
-        int p;
-        double ignored;
-        PrefixBelow(dim, b, &p, &ignored);
-        if (p == 0) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, p - 1);
-        PrefixThrough(dim, b, &q, &pos_through);
+      // Bins from the top until the one holding rank k counted from the
+      // top, i.e. ascending rank n - 1 - k.
+      b = bins - 1;
+      while (StreamedBinTotals::Rows(cut + cells[b]) <= k) cut += cells[b--];
+      if (StreamedBinTotals::Rows(cut) == 0) {
+        // Nothing above the boundary bin: move below it.
+        cut = cells[b--];
+        if (StreamedBinTotals::Rows(cut) >= n) return peel;  // constant
+        while (StreamedBinTotals::Rows(cells[b]) == 0) --b;
       }
-      removed_n = n - q;
-      removed_pos = integral_labels_ ? in_stats.n_pos - pos_through
-                                     : SumYTail(dim, q);
       peel.bound = binned_.bin_last(dim, b);
     }
-    if (removed_n >= n) return peel;  // would empty the box
+    const int removed = StreamedBinTotals::Rows(cut);
+    if (removed >= n) return peel;  // would empty the box
+    double removed_pos;
+    if (integral_labels_) {
+      removed_pos = static_cast<double>(StreamedBinTotals::Positives(cut));
+    } else {
+      removed_pos = low_side ? SumYFirst(dim, removed)
+                             : SumYTail(dim, n - removed);
+    }
 
     peel.dim = dim;
     peel.low_side = low_side;
     peel.bin = b;
-    peel.removed_n = removed_n;
+    peel.removed_n = removed;
     peel.removed_pos = removed_pos;
     peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
+        (in_stats.n_pos - removed_pos) / (in_stats.n - removed);
     return peel;
   }
 
   void Apply(const Peel& peel, BoxStats* stats) {
     const ColumnView<int> sorted = binned_.sorted_rows(peel.dim);
+    const size_t dim = static_cast<size_t>(peel.dim);
+    int begin, end;
     if (peel.low_side) {
-      const int new_lo = binned_.bin_begin_rank(peel.dim, peel.bin);
-      for (int pos = lo_rank_[static_cast<size_t>(peel.dim)]; pos < new_lo;
-           ++pos) {
-        Remove(sorted[static_cast<size_t>(pos)]);
-      }
-      lo_rank_[static_cast<size_t>(peel.dim)] = new_lo;
+      begin = lo_rank_[dim];
+      end = binned_.bin_begin_rank(peel.dim, peel.bin);
+      lo_rank_[dim] = end;
     } else {
-      const int new_hi = binned_.bin_begin_rank(peel.dim, peel.bin + 1);
-      for (int pos = new_hi; pos < hi_rank_[static_cast<size_t>(peel.dim)];
-           ++pos) {
-        Remove(sorted[static_cast<size_t>(pos)]);
-      }
-      hi_rank_[static_cast<size_t>(peel.dim)] = new_hi;
+      begin = binned_.bin_begin_rank(peel.dim, peel.bin + 1);
+      end = hi_rank_[dim];
+      hi_rank_[dim] = begin;
+    }
+    for (int start = begin; start < end; start += kApplyBlock) {
+      RemoveBlock(sorted.data() + start, std::min(kApplyBlock, end - start),
+                  peel.dim);
+    }
+    // Every row of the peeled dimension's cut bins is gone now, including
+    // those other peels removed earlier.
+    int64_t* cells = Cells(peel.dim);
+    if (peel.low_side) {
+      std::fill(cells, cells + peel.bin, int64_t{0});
+    } else {
+      std::fill(cells + peel.bin + 1, cells + binned_.num_bins(peel.dim),
+                int64_t{0});
     }
     stats->n -= peel.removed_n;
     stats->n_pos -= peel.removed_pos;
-    for (size_t j = 0; j < bin_count_.size(); ++j) {
+    for (size_t j = 0; j < lo_rank_.size(); ++j) {
       const ColumnView<int> s = binned_.sorted_rows(static_cast<int>(j));
       int& lo = lo_rank_[j];
       int& hi = hi_rank_[j];
@@ -741,45 +737,53 @@ class CodePeelState {
   }
 
  private:
-  void Remove(int r) {
-    if (!in_box_[static_cast<size_t>(r)]) return;
-    in_box_[static_cast<size_t>(r)] = 0;
-    --n_;
-    const double y = y_[static_cast<size_t>(r)];
-    for (size_t j = 0; j < bin_count_.size(); ++j) {
-      const int b = binned_.code(static_cast<int>(j), r);
-      --bin_count_[j][static_cast<size_t>(b)];
-      bin_pos_[j][static_cast<size_t>(b)] -= y;
-    }
+  // Rows of a removal window handled per pass: the block's row ids and
+  // deltas stay in L1 while every column's cells are updated.
+  static constexpr int kApplyBlock = 4096;
+  static constexpr int kPrefetchAhead = 32;
+
+  int64_t* Cells(int dim) {
+    return cells_.data() + offset_[static_cast<size_t>(dim)];
+  }
+  const int64_t* Cells(int dim) const {
+    return cells_.data() + offset_[static_cast<size_t>(dim)];
   }
 
-  // Bin holding the rank-th in-box row of `dim` (ascending by bin).
-  int BinAtInBoxRank(int dim, int rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      cum += counts[b];
-      if (cum > rank) return static_cast<int>(b);
+  // Removes the still-in-box rows among `rows[0, len)` from every column
+  // but `skip_dim`, whose cut bins Apply zeroes outright.
+  void RemoveBlock(const int* rows, int len, int skip_dim) {
+    int* out = removed_rows_.data();
+    int count = 0;
+    for (int i = 0; i < len; ++i) {
+      const size_t r = static_cast<size_t>(rows[i]);
+      out[count] = rows[i];
+      count += in_box_[r];
+      in_box_[r] = 0;
     }
-    assert(false && "in-box rank out of range");
-    return static_cast<int>(counts.size()) - 1;
-  }
-
-  // In-box rows and label mass in bins strictly below b.
-  void PrefixBelow(int dim, int b, int* count, double* pos) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums = bin_pos_[static_cast<size_t>(dim)];
-    *count = 0;
-    *pos = 0.0;
-    for (int i = 0; i < b; ++i) {
-      *count += counts[static_cast<size_t>(i)];
-      *pos += pos_sums[static_cast<size_t>(i)];
+    n_ -= count;
+    int64_t* delta = removed_delta_.data();
+    for (int i = 0; i < count; ++i) {
+      const double y = y_[static_cast<size_t>(out[i])];
+      delta[i] = integral_labels_ ? 1 + (static_cast<int64_t>(y)
+                                         << StreamedBinTotals::kPosShift)
+                                  : 1;
     }
-  }
-
-  // In-box rows and label mass in bins up to and including b.
-  void PrefixThrough(int dim, int b, int* count, double* pos) const {
-    PrefixBelow(dim, b + 1, count, pos);
+    for (int j = 0; j < binned_.num_cols(); ++j) {
+      if (j == skip_dim) continue;
+      const uint8_t* codes = binned_.codes(j).data();
+      int64_t* cells = Cells(j);
+      // The code reads are a gather over the whole column, which outgrows
+      // L2 on large streams; their addresses are known in advance, so
+      // fetch them a few dozen rows ahead.
+      int i = 0;
+      for (; i + kPrefetchAhead < count; ++i) {
+        __builtin_prefetch(codes + out[i + kPrefetchAhead]);
+        cells[codes[static_cast<size_t>(out[i])]] -= delta[i];
+      }
+      for (; i < count; ++i) {
+        cells[codes[static_cast<size_t>(out[i])]] -= delta[i];
+      }
+    }
   }
 
   // Sum of y over the first `count` in-box rows of `dim` in (bin, row id)
@@ -819,10 +823,12 @@ class CodePeelState {
   std::vector<uint8_t> in_box_;            // by row id
   int n_ = 0;                              // rows currently in box
   bool integral_labels_ = false;           // every y is exactly 0 or 1
+  std::vector<int64_t> cells_;             // in-box StreamedBinTotals cells
+  std::vector<int> offset_;                // [dim] first cell of dim
   std::vector<int> lo_rank_;               // [dim] first in-window perm rank
   std::vector<int> hi_rank_;               // [dim] one past last window rank
-  std::vector<std::vector<int>> bin_count_;   // [dim][bin] in-box rows
-  std::vector<std::vector<double>> bin_pos_;  // [dim][bin] in-box y sum
+  std::vector<int> removed_rows_;          // RemoveBlock buffer
+  std::vector<int64_t> removed_delta_;     // RemoveBlock buffer
 };
 
 // One pasting expansion candidate: move a bound outward to re-admit roughly
@@ -983,7 +989,8 @@ PrimResult RunPrim(const Dataset& train, const Dataset& val,
 
 PrimResult RunPrimStreamed(const BinnedIndex& binned,
                            const std::vector<double>& y,
-                           const PrimConfig& config, const Dataset* val) {
+                           const PrimConfig& config, const Dataset* val,
+                           const StreamedBinTotals* totals) {
   assert(binned.has_sorted_rows() &&
          "RunPrimStreamed needs a streamed/deserialized index with its own "
          "permutation");
@@ -991,19 +998,23 @@ PrimResult RunPrimStreamed(const BinnedIndex& binned,
   assert(binned.num_rows() > 0);
   assert(val == nullptr || val->num_cols() == binned.num_cols());
   assert(val == nullptr || val->num_rows() > 0);
-  double total_pos = 0.0;
-  for (double v : y) total_pos += v;
+  std::shared_ptr<const StreamedBinTotals> owned;
+  if (totals == nullptr) {
+    owned = StreamedBinTotals::Build(binned, y);
+    totals = owned.get();
+  }
+  assert(static_cast<int>(totals->offset.size()) == binned.num_cols() + 1);
 
   // The shared peeling loop on the quantized plane: CodePeelState is just
   // another peel-state backend, so the loop -- candidate selection,
   // validation tracking, box selection -- is the exact code the
   // materialized kernels run. Pasting needs raw training values, so it is
   // skipped.
-  CodePeelState state(binned, y);
+  CodePeelState state(binned, y, *totals);
   obs::Span span("prim.peel");
   return RunPeelingPhase(binned.num_cols(),
-                         static_cast<double>(binned.num_rows()), total_pos,
-                         val, config, &state);
+                         static_cast<double>(binned.num_rows()),
+                         totals->label_total, val, config, &state);
 }
 
 }  // namespace reds

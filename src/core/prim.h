@@ -97,10 +97,25 @@ PrimResult RunPrimReference(const Dataset& train, const Dataset& val,
 /// block-parallel candidate evaluation under PrimConfig::threads); only
 /// the pasting phase, which needs raw training values, is unsupported.
 /// Requires binned.has_sorted_rows().
+///
+/// Pass the prebuilt StreamedBinTotals of (binned, y) to skip counting the
+/// L x M codes; when null, private ones are built. Either way the result
+/// is the same: each peel costs O(removed rows x M) plus O(bins) per
+/// candidate.
 PrimResult RunPrimStreamed(const BinnedIndex& binned,
                            const std::vector<double>& y,
                            const PrimConfig& config,
-                           const Dataset* val = nullptr);
+                           const Dataset* val = nullptr,
+                           const StreamedBinTotals* totals = nullptr);
+
+/// Golden reference of RunPrimStreamed: every candidate rebuilds the
+/// in-box bin histogram of its column by a full row scan, then applies the
+/// same bin-level cut and tie rules, summing labels in (bin, row id)
+/// order. Serial. Used only by tests and the kernel bench.
+PrimResult RunPrimStreamedReference(const BinnedIndex& binned,
+                                    const std::vector<double>& y,
+                                    const PrimConfig& config,
+                                    const Dataset* val = nullptr);
 
 }  // namespace reds
 

@@ -4,7 +4,9 @@
 // (bench/bench_perf_kernels.cc). Beside it, the original bumping replicate
 // loop (a private sorted index per replicate, a full validation pass per
 // box), the golden baseline of core/bumping.cc
-// (tests/bumping_covering_test.cc). Not used on any production path.
+// (tests/bumping_covering_test.cc). Last, the streamed peel state rebuilt
+// anew for every candidate, the golden baseline of RunPrimStreamed
+// (tests/streamed_prim_test.cc). Not used on any production path.
 #include "core/prim.h"
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <numeric>
 
 #include "core/bumping.h"
+#include "core/prim_loop.h"
 #include "util/rng.h"
 
 namespace reds {
@@ -21,16 +24,6 @@ namespace reds {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// A candidate peel: restrict dimension `dim` on one side to `bound`.
-struct Peel {
-  int dim = -1;
-  bool low_side = true;   // true: raise lo to `bound`; false: drop hi
-  double bound = 0.0;
-  double removed_n = 0.0;
-  double removed_pos = 0.0;
-  double precision_after = -1.0;
-};
 
 // Values of in-box points along one dimension.
 void GatherColumn(const Dataset& d, const std::vector<int>& rows, int dim,
@@ -138,6 +131,115 @@ struct Paste {
   double bound = 0.0;
   double precision_after = -1.0;
   double added_n = 0.0;
+};
+
+// The streamed peel state with nothing kept between candidates but the
+// in-box flags: each candidate counting-sorts the in-box rows of its
+// column by bin code (row ids ascending within a bin) in one full row
+// scan, then picks the boundary bin and sums the removed labels in that
+// order.
+class StreamedReferenceState {
+ public:
+  StreamedReferenceState(const BinnedIndex& binned,
+                         const std::vector<double>& y)
+      : binned_(binned),
+        y_(y),
+        in_box_(static_cast<size_t>(binned.num_rows()), 1),
+        n_(binned.num_rows()) {}
+
+  Peel MakeCandidate(int dim, bool low_side, double alpha,
+                     const BoxStats& in_stats) const {
+    Peel peel;
+    const int n = n_;
+    const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
+    if (k >= n) return peel;  // would empty the box
+
+    // begin[b]: in-box rank of bin b's first row; order: in-box rows by
+    // (bin, row id).
+    const int bins = binned_.num_bins(dim);
+    std::vector<int> begin(static_cast<size_t>(bins) + 1, 0);
+    for (int r = 0; r < binned_.num_rows(); ++r) {
+      if (in_box_[static_cast<size_t>(r)]) {
+        ++begin[static_cast<size_t>(binned_.code(dim, r)) + 1];
+      }
+    }
+    for (int b = 0; b < bins; ++b) {
+      begin[static_cast<size_t>(b) + 1] += begin[static_cast<size_t>(b)];
+    }
+    std::vector<int> order(static_cast<size_t>(n));
+    std::vector<int> next(begin.begin(), begin.end() - 1);
+    for (int r = 0; r < binned_.num_rows(); ++r) {
+      if (in_box_[static_cast<size_t>(r)]) {
+        order[static_cast<size_t>(
+            next[static_cast<size_t>(binned_.code(dim, r))]++)] = r;
+      }
+    }
+    // The bin holding in-box rank `rank`, and the rows below bin b.
+    const auto bin_at = [&](int rank) {
+      int b = 0;
+      while (begin[static_cast<size_t>(b) + 1] <= rank) ++b;
+      return b;
+    };
+    const auto below = [&](int b) { return begin[static_cast<size_t>(b)]; };
+
+    int b;
+    int first, last;  // removed in-box ranks [first, last)
+    if (low_side) {
+      b = bin_at(k);
+      if (below(b) == 0) {
+        // Ties swallowed the cut: move past the boundary bin.
+        const int q = below(b + 1);
+        if (q >= n) return peel;  // dimension is constant in box
+        b = bin_at(q);
+      }
+      first = 0;
+      last = below(b);
+      peel.bound = binned_.bin_first(dim, b);
+    } else {
+      b = bin_at(n - 1 - k);
+      if (below(b + 1) >= n) {
+        // Nothing above the boundary bin: move below it.
+        if (below(b) == 0) return peel;  // dimension is constant in box
+        b = bin_at(below(b) - 1);
+      }
+      first = below(b + 1);
+      last = n;
+      peel.bound = binned_.bin_last(dim, b);
+    }
+    if (last - first >= n) return peel;  // would empty the box
+    double removed_pos = 0.0;
+    for (int i = first; i < last; ++i) {
+      removed_pos += y_[static_cast<size_t>(order[static_cast<size_t>(i)])];
+    }
+
+    peel.dim = dim;
+    peel.low_side = low_side;
+    peel.bin = b;
+    peel.removed_n = last - first;
+    peel.removed_pos = removed_pos;
+    peel.precision_after =
+        (in_stats.n_pos - removed_pos) / (in_stats.n - peel.removed_n);
+    return peel;
+  }
+
+  void Apply(const Peel& peel, BoxStats* stats) {
+    for (int r = 0; r < binned_.num_rows(); ++r) {
+      const int b = binned_.code(peel.dim, r);
+      if (in_box_[static_cast<size_t>(r)] &&
+          (peel.low_side ? b < peel.bin : b > peel.bin)) {
+        in_box_[static_cast<size_t>(r)] = 0;
+        --n_;
+      }
+    }
+    stats->n -= peel.removed_n;
+    stats->n_pos -= peel.removed_pos;
+  }
+
+ private:
+  const BinnedIndex& binned_;
+  const std::vector<double>& y_;
+  std::vector<uint8_t> in_box_;  // by row id
+  int n_ = 0;                    // rows currently in box
 };
 
 }  // namespace
@@ -355,6 +457,22 @@ BumpingResult RunPrimBumpingReference(const Dataset& train,
     result.val_curve.push_back(curve[i]);
   }
   return result;
+}
+
+PrimResult RunPrimStreamedReference(const BinnedIndex& binned,
+                                    const std::vector<double>& y,
+                                    const PrimConfig& config,
+                                    const Dataset* val) {
+  assert(static_cast<int>(y.size()) == binned.num_rows());
+  assert(binned.num_rows() > 0);
+  double total_pos = 0.0;
+  for (double v : y) total_pos += v;
+  PrimConfig serial = config;
+  serial.threads = 1;
+  StreamedReferenceState state(binned, y);
+  return RunPeelingPhase(binned.num_cols(),
+                         static_cast<double>(binned.num_rows()), total_pos,
+                         val, serial, &state);
 }
 
 }  // namespace reds

@@ -50,8 +50,7 @@ double PrAucOnData(const std::vector<Box>& boxes, const Dataset& d) {
   const double total_pos = d.TotalPositive();
   std::vector<PrPoint> points;
   points.reserve(boxes.size());
-  for (const Box& b : boxes) {
-    const BoxStats stats = ComputeBoxStats(d, b);
+  for (const BoxStats& stats : ComputeBoxStatsSequence(d, boxes)) {
     points.push_back({Recall(stats, total_pos), Precision(stats)});
   }
   return PrAuc(std::move(points));

@@ -437,18 +437,18 @@ std::shared_ptr<const BinnedIndex> DiscoveryEngine::GetBinnedIndex(
       });
 }
 
-StreamedTrainData DiscoveryEngine::IngestSource(DatasetSource* source) {
+std::shared_ptr<const StreamedDataset> DiscoveryEngine::IngestSource(
+    DatasetSource* source) {
   const std::optional<uint64_t> identity = source->identity();
   if (!identity) return ReadSource(source);
   // The identity names the exact row sequence, so a resident entry is what
   // reading the source would produce. A miss reads it (determinism check
   // included); a throwing read is not cached and the next call retries.
-  return *ingested_.Get(*identity, [&] {
-    return std::make_shared<const StreamedTrainData>(ReadSource(source));
-  });
+  return ingested_.Get(*identity, [&] { return ReadSource(source); });
 }
 
-StreamedTrainData DiscoveryEngine::ReadSource(DatasetSource* source) {
+std::shared_ptr<const StreamedDataset> DiscoveryEngine::ReadSource(
+    DatasetSource* source) {
   obs::Span ingest_span("ingest.source");
   // Pass 1 -- identity: incremental fingerprints over the chunk stream
   // (the same byte layout the in-memory path hashes, so eager and
@@ -462,10 +462,11 @@ StreamedTrainData DiscoveryEngine::ReadSource(DatasetSource* source) {
   const int cols = source->num_cols();
   util::DatasetHasher input_hasher(util::DatasetHasher::Scope::kInputs, cols);
   util::DatasetHasher full_hasher(util::DatasetHasher::Scope::kFull, cols);
-  StreamedTrainData data;
-  auto y = std::make_shared<std::vector<double>>();
+  auto out = std::make_shared<StreamedDataset>();
+  StreamedDataset& data = *out;
+  std::vector<double>& y = data.y;
   const int64_t hint = source->num_rows_hint();
-  if (hint > 0) y->reserve(static_cast<size_t>(hint));
+  if (hint > 0) y.reserve(static_cast<size_t>(hint));
   {
     obs::Span span("ingest.fingerprint");
     for (;;) {
@@ -477,16 +478,15 @@ StreamedTrainData DiscoveryEngine::ReadSource(DatasetSource* source) {
       if (block->empty()) break;
       input_hasher.AddRows(block->x.data(), nullptr, block->num_rows());
       full_hasher.AddRows(block->x.data(), block->y, block->num_rows());
-      y->insert(y->end(), block->y, block->y + block->num_rows());
+      y.insert(y.end(), block->y, block->y + block->num_rows());
     }
   }
-  if (y->empty()) {
+  if (y.empty()) {
     throw std::invalid_argument("streamed request source yielded no rows");
   }
-  data.y = std::move(y);
   data.input_fingerprint = input_hasher.Finalize();
   data.fingerprint = full_hasher.Finalize();
-  const int rows = static_cast<int>(data.y->size());
+  const int rows = static_cast<int>(y.size());
 
   // Index: memory LRU, then the persistent tier, then a cold build.
   data.index = streamed_indexes_.Get(
@@ -525,7 +525,8 @@ StreamedTrainData DiscoveryEngine::ReadSource(DatasetSource* source) {
           disk_->StoreStreamedIndex(data.input_fingerprint, index);
         }
       });
-  return data;
+  data.totals = StreamedBinTotals::Build(*data.index, data.y);
+  return out;
 }
 
 PersistentCacheStats DiscoveryEngine::persistent_cache_stats() const {
@@ -695,15 +696,16 @@ void DiscoveryEngine::Execute(const JobHandle& job) {
   const auto job_start = std::chrono::steady_clock::now();
   std::vector<JobHandle> followers;
   // Coalesced followers never run a worker: they complete here, on the
-  // leader's thread, from the leader's output. Warm by definition, and
-  // their latency runs from their own submit time.
+  // leader's thread, from the leader's output, after the leader's work is
+  // done. Their latency runs from their own submit time and lands in the
+  // leader's class: a follower of a cold leader waited on cold work.
   const auto follower_latency = [this](const JobHandle& f) {
     const uint64_t ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - f->submit_time_)
             .count());
     job_latency_->Observe(ns);
-    job_warm_latency_->Observe(ns);
+    (t_cold_work ? job_cold_latency_ : job_warm_latency_)->Observe(ns);
   };
   try {
     obs::Span root_span("job");
@@ -761,8 +763,8 @@ void DiscoveryEngine::Execute(const JobHandle& job) {
         } else {
           // Fully streamed: the double matrix never materializes. Warm
           // engines serve the index from the LRU / persistent tiers.
-          const StreamedTrainData data = IngestSource(source.get());
-          out = RunMethodOnStream(*spec, *data.index, *data.y, options);
+          out = RunMethodOnStream(*spec, *IngestSource(source.get()),
+                                  options);
         }
       } else {
         // Tuning folds, metamodel training, and the BI/bumping scans need

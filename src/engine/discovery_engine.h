@@ -233,17 +233,6 @@ using JobHandle = std::shared_ptr<Job>;
 /// The engine's metamodel cache: one entry per distinct trained model.
 using MetamodelTier = CacheTier<MetamodelKey, ml::Metamodel>;
 
-/// What streamed ingestion of a training source yields: the quantized
-/// index (with its own permutation), the labels, and both fingerprints --
-/// the dataset's identity in every cache tier -- computed incrementally
-/// from the chunk stream.
-struct StreamedTrainData {
-  std::shared_ptr<const BinnedIndex> index;
-  std::shared_ptr<const std::vector<double>> y;
-  uint64_t input_fingerprint = 0;  // == engine::FingerprintInputs
-  uint64_t fingerprint = 0;        // == engine::FingerprintDataset
-};
-
 class DiscoveryEngine {
  public:
   explicit DiscoveryEngine(EngineConfig config = {});
@@ -313,9 +302,12 @@ class DiscoveryEngine {
   /// fingerprints and labels, then the index from the in-memory LRU, the
   /// persistent tier, or (cold) a BuildStreamed over the source -- so warm
   /// calls on sources without an identity touch the source exactly once
-  /// and build nothing. Throws on undrainable or non-deterministic sources
-  /// (and caches nothing for them).
-  StreamedTrainData IngestSource(DatasetSource* source);
+  /// and build no index. Throws on undrainable or non-deterministic
+  /// sources (and caches nothing for them). The result carries the
+  /// quantized index (with its own permutation), the labels, both
+  /// fingerprints -- the dataset's identity in every cache tier -- and the
+  /// peel's bin totals, counted once per read.
+  std::shared_ptr<const StreamedDataset> IngestSource(DatasetSource* source);
 
   /// The engine's shared per-dataset index (building and caching it on
   /// demand); also exposed to jobs through RunOptions.
@@ -372,7 +364,7 @@ class DiscoveryEngine {
   std::shared_ptr<const ColumnIndex> GetColumnIndex(const Dataset& d,
                                                     uint64_t fingerprint);
   /// IngestSource's read path: fingerprint pass plus streamed-index tier.
-  StreamedTrainData ReadSource(DatasetSource* source);
+  std::shared_ptr<const StreamedDataset> ReadSource(DatasetSource* source);
 
   EngineConfig config_;
   // First member: every other subsystem (caches, pool) holds pointers into
@@ -389,8 +381,8 @@ class DiscoveryEngine {
   // Warm/cold split of job latency: a job is cold when its worker thread
   // performed any cold work (metamodel fit or disk load, index build or
   // load, streamed ingest build, relabel-stream build); everything served
-  // from in-memory caches -- and every coalesced follower -- lands in the
-  // warm series, so warm p50/p99 is scrapeable on its own.
+  // from in-memory caches lands in the warm series, so warm p50/p99 is
+  // scrapeable on its own. A coalesced follower takes its leader's class.
   obs::Histogram* job_warm_latency_ = nullptr;
   obs::Histogram* job_cold_latency_ = nullptr;
   std::unique_ptr<PersistentCache> disk_;  // null: tier disabled
@@ -404,7 +396,7 @@ class DiscoveryEngine {
   CacheTier<uint64_t, BinnedIndex> streamed_indexes_;
   // Whole ingest results of sources that vouch for their rows, keyed by
   // DatasetSource::identity(): a hit skips the fingerprint pass too.
-  CacheTier<uint64_t, StreamedTrainData> ingested_;
+  CacheTier<uint64_t, StreamedDataset> ingested_;
   // Finished streamed REDS relabelings, keyed by the engine-folded relabel
   // cache key (see InstallRelabelStreamHook). Entries share their index's
   // bytes with nothing else: the relabeled stream is request-recipe-keyed,

@@ -391,6 +391,8 @@ std::shared_ptr<const StreamedDataset> PersistentCache::LoadRelabelStream(
   data->y = std::move(y);
   data->input_fingerprint = input_fp;
   data->fingerprint = full_fp;
+  // Totals are not serialized: a load counts them once for the entry.
+  data->totals = StreamedBinTotals::Build(*data->index, data->y);
   relabel_hits_->Add(1);
   return data;
 }

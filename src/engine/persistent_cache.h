@@ -121,7 +121,8 @@ class PersistentCache {
   /// the quantized index shared with the streamed-index namespace above
   /// (mapped, per input fingerprint). A hit hands back a complete
   /// StreamedDataset, so a warm engine replays neither the sampler nor the
-  /// metamodel nor the quantization. `key` is the engine-folded relabel
+  /// metamodel nor the quantization; its bin totals are not stored but
+  /// counted once on load. `key` is the engine-folded relabel
   /// cache key; returns null when either file is missing or invalid.
   std::shared_ptr<const StreamedDataset> LoadRelabelStream(uint64_t key,
                                                            int expect_rows,

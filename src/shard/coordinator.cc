@@ -184,8 +184,8 @@ Status ShardCoordinator::RefreshAggregates(
   return Status::OK();
 }
 
-// The fleet peel state RunPeelingPhase drives. MakeCandidate is
-// CodePeelState's integral-label candidate logic verbatim, evaluated on the
+// The fleet peel state RunPeelingPhase drives. MakeCandidate makes
+// CodePeelState's integral-label candidate decisions, evaluated on the
 // globally-summed aggregates (the candidate is a pure function of them, so
 // no communication happens until a peel is applied). Apply is one
 // broadcast + gather round: workers remove the peeled rows from their

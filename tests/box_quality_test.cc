@@ -7,6 +7,7 @@
 
 #include "core/box.h"
 #include "core/dataset.h"
+#include "core/prim.h"
 #include "core/quality.h"
 #include "util/rng.h"
 
@@ -297,6 +298,54 @@ TEST(QualityTest, PrAucOnDataMatchesManual) {
   // sits at recall 1. Sorted by recall both at 1 -> area = 1*precision_first.
   EXPECT_GT(auc, 0.9);
   EXPECT_LE(auc, 1.0 + 1e-12);
+}
+
+// PrAucOnData scores a trajectory incrementally (ComputeBoxStatsSequence);
+// it must equal scoring every box on its own, bit for bit, whether the
+// boxes nest or not.
+TEST(QualityTest, PrAucOnDataMatchesPerBoxScoring) {
+  const auto per_box = [](const std::vector<Box>& boxes, const Dataset& d) {
+    std::vector<PrPoint> points;
+    for (const Box& b : boxes) {
+      const BoxStats stats = ComputeBoxStats(d, b);
+      points.push_back({Recall(stats, d.TotalPositive()), Precision(stats)});
+    }
+    return PrAuc(std::move(points));
+  };
+  for (const bool fractional : {false, true}) {
+    Rng rng(31);
+    Dataset train(3), test(3);
+    for (int i = 0; i < 1600; ++i) {
+      const double x[3] = {rng.Uniform(), rng.Uniform(), rng.Uniform()};
+      const bool inside = x[0] < 0.4 && x[1] > 0.3;
+      const double y = fractional ? rng.LogitNormal(inside ? 1.0 : -1.0, 0.9)
+                                  : (rng.Bernoulli(inside ? 0.85 : 0.15)
+                                         ? 1.0
+                                         : 0.0);
+      (i % 2 == 0 ? train : test).AddRow(x, y);
+    }
+    PrimConfig config;
+    config.alpha = 0.1;
+    const std::vector<Box> nested = RunPrim(train, train, config).boxes;
+    ASSERT_GT(nested.size(), 3u);
+    // A pasted trajectory ends on a box that widens its predecessor.
+    std::vector<Box> pasted = nested;
+    Box widened = pasted.back();
+    for (int j = 0; j < widened.dim(); ++j) {
+      if (widened.IsRestricted(j)) {
+        widened.set_lo(j, -kInf);
+        widened.set_hi(j, kInf);
+        break;
+      }
+    }
+    pasted.push_back(widened);
+    const std::vector<Box> reversed(nested.rbegin(), nested.rend());
+    for (const Dataset* d : {&train, &test}) {
+      EXPECT_EQ(PrAucOnData(nested, *d), per_box(nested, *d));
+      EXPECT_EQ(PrAucOnData(pasted, *d), per_box(pasted, *d));
+      EXPECT_EQ(PrAucOnData(reversed, *d), per_box(reversed, *d));
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -193,6 +194,59 @@ TEST(EngineObsTest, ColdAndWarmStreamedRedsTracesNameThePipeline) {
 
   std::filesystem::remove_all(cache_dir);
   std::filesystem::remove_all(trace_dir);
+}
+
+// A coalesced follower waits on its leader's work, so it lands in the
+// leader's latency class: behind a cold leader it is cold, not warm.
+TEST(EngineObsTest, FollowerOfColdLeaderIsNotCountedWarm) {
+  SKIP_UNDER_NOOP();
+  const auto data = MakeGridData(300, 3, 9);
+  EngineConfig config;
+  config.threads = 1;
+  DiscoveryEngine engine(config);
+  // Runs a blocker job that holds the only worker until both twins are
+  // submitted, so the leader is still queued -- its coalesce window open --
+  // when the follower arrives.
+  const auto run_twins = [&](const DiscoveryRequest& twin) {
+    std::promise<void> release;
+    DiscoveryRequest blocker;
+    blocker.method = "P";
+    blocker.options = FastOptions();
+    blocker.make_train = [gate = release.get_future().share(), data] {
+      gate.wait();
+      return *data;
+    };
+    const std::vector<JobHandle> jobs = {engine.Submit(std::move(blocker)),
+                                         engine.Submit(twin),
+                                         engine.Submit(twin)};
+    release.set_value();
+    engine.WaitAll();
+    for (const JobHandle& job : jobs) {
+      ASSERT_EQ(job->state(), JobState::kDone) << job->error();
+    }
+  };
+  const auto count = [&](const char* name) {
+    return engine.metrics().histogram(name)->Count();
+  };
+  DiscoveryRequest twin;
+  twin.train = data;
+  twin.method = "RPx";
+  twin.options = FastOptions();
+  run_twins(twin);
+  EXPECT_EQ(engine.metrics().counter("engine.jobs.coalesced")->Value(), 1u);
+  // All three did or waited on cold work: the blocker built the column
+  // index, the leader fitted the metamodel and relabeled.
+  EXPECT_EQ(count("engine.job.latency_ns"), 3u);
+  EXPECT_EQ(count("engine.job.cold_latency_ns"), 3u);
+  EXPECT_EQ(count("engine.job.warm_latency_ns"), 0u);
+
+  // A new alpha peels the cached relabeling: a warm leader, whose follower
+  // (and the blocker, on cached indexes) stay warm.
+  twin.options.default_alpha = 0.1;
+  run_twins(twin);
+  EXPECT_EQ(engine.metrics().counter("engine.jobs.coalesced")->Value(), 2u);
+  EXPECT_EQ(count("engine.job.cold_latency_ns"), 3u);
+  EXPECT_EQ(count("engine.job.warm_latency_ns"), 3u);
 }
 
 TEST(EngineObsTest, DumpMetricsCoversEverySubsystem) {

@@ -145,14 +145,19 @@ TEST(EngineStreamedTest, RepeatSourceIngestIndexesOnce) {
   const auto data = MakeGridData(800, 3, 3);
   DiscoveryEngine engine({/*threads=*/2});
   MatrixSource first(data);
-  const StreamedTrainData a = engine.IngestSource(&first);
+  const auto a = engine.IngestSource(&first);
   MatrixSource second(data);
-  const StreamedTrainData b = engine.IngestSource(&second);
+  const auto b = engine.IngestSource(&second);
   // Same fingerprints, same shared index object (LRU hit, no rebuild).
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.input_fingerprint, b.input_fingerprint);
-  EXPECT_EQ(a.index.get(), b.index.get());
-  EXPECT_EQ(*a.y, *b.y);
+  EXPECT_EQ(a->fingerprint, b->fingerprint);
+  EXPECT_EQ(a->input_fingerprint, b->input_fingerprint);
+  EXPECT_EQ(a->index.get(), b->index.get());
+  EXPECT_EQ(a->y, b->y);
+  // A source without an identity is read again, so its totals are counted
+  // again -- to the same cells.
+  ASSERT_NE(a->totals, nullptr);
+  ASSERT_NE(b->totals, nullptr);
+  EXPECT_EQ(a->totals->cells, b->totals->cells);
   EXPECT_EQ(engine.streamed_index_cache_size(), 1);
 }
 
@@ -193,7 +198,7 @@ TEST(EngineStreamedTest, IdentifiedSourceSkipsIngestWhenWarm) {
 
   int cold_calls = 0;
   CountingSource cold(spec, &cold_calls);
-  const StreamedTrainData a = engine.IngestSource(&cold);
+  const auto a = engine.IngestSource(&cold);
   EXPECT_GT(cold_calls, 0);
 
   // Warm: served on the identity alone -- not one row read, and the
@@ -203,12 +208,11 @@ TEST(EngineStreamedTest, IdentifiedSourceSkipsIngestWhenWarm) {
       CounterValue(engine, "cache.index.streamed.misses");
   int warm_calls = 0;
   CountingSource warm(spec, &warm_calls);
-  const StreamedTrainData b = engine.IngestSource(&warm);
+  const auto b = engine.IngestSource(&warm);
   EXPECT_EQ(warm_calls, 0);
-  EXPECT_EQ(a.index.get(), b.index.get());
-  EXPECT_EQ(a.y.get(), b.y.get());
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.input_fingerprint, b.input_fingerprint);
+  // The whole entry is shared: index, labels and bin totals.
+  EXPECT_EQ(a.get(), b.get());
+  ASSERT_NE(b->totals, nullptr);
   EXPECT_EQ(CounterValue(engine, "cache.ingest.hits"), 1u);
   EXPECT_EQ(CounterValue(engine, "cache.ingest.misses"), 1u);
   EXPECT_EQ(CounterValue(engine, "cache.index.streamed.hits") +
@@ -332,6 +336,80 @@ class FlakySource : public DatasetSource {
   bool emitted_ = false;
   std::vector<double> x_, y_;
 };
+
+// Warm peels share one cached entry -- one relabeling or one ingested
+// source, with its bin totals -- and copy its cells into private state, so
+// concurrent peels at different alphas must each return what a cold engine
+// computes for that request alone.
+TEST(EngineStreamedTest, ConcurrentWarmPeelsMatchColdEngine) {
+  const auto data = MakeGridData(400, 4, 12);
+  shard::SourceSpec spec;
+  spec.rows = 20000;
+  spec.dims = 4;
+  spec.distinct = 300;  // sketch-binned columns
+  spec.seed = 13;
+  const auto request = [&](bool reds, double alpha) {
+    DiscoveryRequest r;
+    if (reds) {
+      r = EagerRequest(data, "RPx");
+    } else {
+      r.method = "P";
+      r.options = FastOptions();
+      r.make_train_source = [spec]() -> std::unique_ptr<DatasetSource> {
+        return std::make_unique<shard::SyntheticBlockSource>(spec, 1, 0);
+      };
+    }
+    r.options.default_alpha = alpha;
+    return r;
+  };
+  const std::vector<double> alphas = {0.05, 0.07, 0.1, 0.13, 0.16, 0.2};
+
+  EngineConfig config;
+  config.threads = 1;
+  config.coalesce_requests = false;
+  config.stream_block_rows = spec.block_rows;
+
+  // Cold: a fresh engine for every request.
+  std::vector<MethodOutput> cold;
+  for (const bool reds : {true, false}) {
+    for (const double alpha : alphas) {
+      DiscoveryEngine engine(config);
+      const auto job = engine.Submit(request(reds, alpha));
+      job->Wait();
+      ASSERT_EQ(job->state(), JobState::kDone) << job->error();
+      cold.push_back(job->output());
+    }
+  }
+
+  config.threads = 4;
+  DiscoveryEngine engine(config);
+  for (const bool reds : {true, false}) {
+    const auto warmup = engine.Submit(request(reds, 0.3));
+    warmup->Wait();
+    ASSERT_EQ(warmup->state(), JobState::kDone) << warmup->error();
+  }
+  std::vector<JobHandle> jobs;
+  for (int round = 0; round < 3; ++round) {
+    for (const bool reds : {true, false}) {
+      for (const double alpha : alphas) {
+        jobs.push_back(engine.Submit(request(reds, alpha)));
+      }
+    }
+  }
+  engine.WaitAll();
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_EQ(jobs[i]->state(), JobState::kDone) << jobs[i]->error();
+    const MethodOutput& want = cold[i % cold.size()];
+    EXPECT_TRUE(jobs[i]->output().last_box == want.last_box) << "job " << i;
+    EXPECT_TRUE(jobs[i]->output().trajectory == want.trajectory)
+        << "job " << i;
+  }
+  // Every warm job hit the one entry its warm-up built.
+  EXPECT_EQ(engine.relabel_stream_cache_size(), 1);
+  EXPECT_EQ(CounterValue(engine, "cache.ingest.misses"), 1u);
+  EXPECT_EQ(CounterValue(engine, "cache.ingest.hits"),
+            static_cast<uint64_t>(3 * alphas.size()));
+}
 
 TEST(EngineStreamedTest, NonDeterministicSourceFailsLoudly) {
   DiscoveryEngine engine({/*threads=*/2});

@@ -225,6 +225,126 @@ TEST(StreamedBuildTest, SketchPathIdenticalAcrossThreadCounts) {
   }
 }
 
+// Bitwise equality of everything a PRIM run reports.
+void ExpectBitwise(const PrimResult& a, const PrimResult& b,
+                   const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(a.boxes.size(), b.boxes.size());
+  EXPECT_EQ(a.best_val_index, b.best_val_index);
+  for (size_t i = 0; i < a.boxes.size(); ++i) {
+    EXPECT_TRUE(a.boxes[i] == b.boxes[i]) << "box " << i;
+  }
+  for (const auto curve :
+       {&PrimResult::train_curve, &PrimResult::val_curve}) {
+    const std::vector<PrPoint>& ca = a.*curve;
+    const std::vector<PrPoint>& cb = b.*curve;
+    ASSERT_EQ(ca.size(), cb.size());
+    for (size_t i = 0; i < ca.size(); ++i) {
+      EXPECT_EQ(ca[i].precision, cb[i].precision) << "point " << i;
+      EXPECT_EQ(ca[i].recall, cb[i].recall) << "point " << i;
+    }
+  }
+}
+
+StreamedDataset StreamOf(const std::shared_ptr<const Dataset>& data) {
+  MatrixSource source(data);
+  Result<StreamedDataset> streamed = BinnedIndex::BuildStreamed(&source);
+  EXPECT_TRUE(streamed.ok()) << streamed.status().ToString();
+  return std::move(streamed).value();
+}
+
+// RunPrimStreamed, with prebuilt totals and with private ones, against the
+// golden reference that rebuilds each candidate's histogram from a full
+// row scan: every box, both curves and the selected index, bit for bit.
+void ExpectMatchesReference(const std::shared_ptr<const Dataset>& data,
+                            const Dataset* val, const PrimConfig& config,
+                            const std::string& what) {
+  const StreamedDataset stream = StreamOf(data);
+  const PrimResult reference =
+      RunPrimStreamedReference(*stream.index, stream.y, config, val);
+  const auto totals = StreamedBinTotals::Build(*stream.index, stream.y);
+  ExpectBitwise(reference,
+                RunPrimStreamed(*stream.index, stream.y, config, val,
+                                totals.get()),
+                what + " prebuilt totals");
+  ExpectBitwise(reference,
+                RunPrimStreamed(*stream.index, stream.y, config, val),
+                what + " private totals");
+  // The parallel candidate evaluation reads the same cells.
+  PrimConfig parallel = config;
+  parallel.threads = 3;
+  ExpectBitwise(reference,
+                RunPrimStreamed(*stream.index, stream.y, parallel, val,
+                                totals.get()),
+                what + " threads=3");
+}
+
+TEST(StreamedPrimTest, MatchesGoldenReference) {
+  for (const int distinct : {0, 21}) {  // sketch bins, exact-pack bins
+    for (const bool fractional : {false, true}) {
+      const auto data = std::make_shared<Dataset>(
+          MakeData(3000, 4, 11, distinct, fractional));
+      const Dataset val = MakeData(500, 4, 12, distinct, fractional);
+      if (distinct == 0) {
+        ASSERT_EQ(StreamOf(data).index->kind(),
+                  BinnedIndex::BuildKind::kSketch);
+      }
+      PrimConfig config;
+      config.alpha = 0.05;
+      const std::string what = "distinct=" + std::to_string(distinct) +
+                               (fractional ? " fractional" : " hard");
+      ExpectMatchesReference(data, nullptr, config, what + " val=null");
+      ExpectMatchesReference(data, &val, config, what + " val=external");
+    }
+  }
+}
+
+TEST(StreamedPrimTest, MatchesGoldenReferenceOnTiesAndConstantColumns) {
+  // Column 0 puts 40% of the rows, all negative, on its top value: a
+  // high-side cut of alpha lands inside that tied top bin and must move
+  // below it. Column 1 is constant: neither side ever yields a candidate.
+  // Column 2 ties 30% of the rows on its bottom value.
+  for (const bool fractional : {false, true}) {
+    Rng rng(21);
+    auto data = std::make_shared<Dataset>(3);
+    for (int i = 0; i < 2500; ++i) {
+      const bool top = rng.Uniform() < 0.4;
+      const double x0 = top ? 1.0 : rng.Uniform();
+      const double x2 = rng.Uniform() < 0.3 ? 0.0 : rng.Uniform();
+      const double x[3] = {x0, 0.5, x2};
+      double y = !top && x0 < 0.5 && rng.Bernoulli(0.7) ? 1.0 : 0.0;
+      if (fractional) y = top ? 0.0 : 0.125 * rng.UniformInt(9);
+      data->AddRow(x, y);
+    }
+    const std::string what = fractional ? "fractional" : "hard";
+    PrimConfig config;
+    config.alpha = 0.1;
+    config.min_points = 5;
+    ExpectMatchesReference(data, nullptr, config, what);
+    const StreamedDataset stream = StreamOf(data);
+    const PrimResult r = RunPrimStreamed(*stream.index, stream.y, config);
+    bool top_cut = false;
+    for (const Box& b : r.boxes) {
+      EXPECT_FALSE(b.IsRestricted(1)) << "the constant column was cut";
+      top_cut = top_cut || b.hi(0) < 1.0;
+    }
+    EXPECT_TRUE(top_cut) << "no high-side cut below the tied top bin";
+
+    // The min_points stop: peeling ends once the box holds fewer than 800
+    // rows, far above where the run above went, so its trajectory is a
+    // strict prefix of that run's.
+    config.min_points = 800;
+    ExpectMatchesReference(data, nullptr, config, what + " min_points=800");
+    const PrimResult stopped =
+        RunPrimStreamed(*stream.index, stream.y, config);
+    ASSERT_LT(stopped.boxes.size(), r.boxes.size());
+    EXPECT_GT(stopped.boxes.size(), 1u);
+    for (size_t i = 0; i < stopped.boxes.size(); ++i) {
+      EXPECT_TRUE(stopped.boxes[i] == r.boxes[i]) << "box " << i;
+    }
+  }
+}
+
 TEST(StreamedBuildTest, RejectsEmptyStreams) {
   const auto data = std::make_shared<Dataset>(Dataset(3));
   MatrixSource source(data);
