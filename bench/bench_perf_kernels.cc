@@ -37,6 +37,7 @@
 #include "core/method.h"
 #include "core/prim.h"
 #include "core/quality.h"
+#include "core/quantile_sketch_reference.h"
 #include "engine/discovery_engine.h"
 #include "ml/gbt.h"
 #include "ml/histogram.h"
@@ -546,52 +547,56 @@ KernelResult BenchHistAccumulateQ16(const PerfFlags& flags) {
   return result;
 }
 
-// --- Streaming build path: in-memory exact quantization (ColumnIndex + ---
-// BinnedIndex) vs the two-pass sketch-binned streaming build. Approximate:
-// the two packings place boundaries differently (greedy equal-share vs
-// exact-rank quantiles), so the quality delta is the worst bin-balance
-// deviation -- max |bin population - n/bins| / n, which the sketch's rank
-// error bounds on this continuous (tie-free) data.
+// --- Streaming build path: the two-pass sketch-binned build against the --
+// golden streamed build (core/quantile_sketch_reference.h: the reference
+// sketch pass -- std::sort per insert buffer, a merge list then a separate
+// compress, one AddWeighted per spilled pair -- then one QueryRank per
+// bound, StreamedCodeOf per value and a stable sort). Both must produce
+// the identical index: kind, codes, bin bounds, begin ranks and
+// permutation of every column.
 KernelResult BenchStreamedBuild(const PerfFlags& flags, int threads) {
   KernelResult result;
   result.name = threads > 1 ? "binned_build_streamed_parallel"
                             : "binned_build_streamed";
-  result.approximate = true;
   const auto data = std::make_shared<Dataset>(
       RandomData(flags.l_points, flags.dims, flags.seed + 9));
   result.detail = "L=" + std::to_string(flags.l_points) +
-                  " d=" + std::to_string(flags.dims) +
+                  " d=" + std::to_string(flags.dims) + " sketch regime" +
                   (threads > 1 ? " threads=" + std::to_string(threads) : "");
 
-  std::shared_ptr<const BinnedIndex> exact;
+  StreamedBuildOptions options;
+  options.threads = threads;
+  Result<StreamedBinsReference> reference =
+      Status::RuntimeError("not run");
   result.reference_seconds = TimeBest(flags.reps, [&] {
-    exact = BinnedIndex::Build(*ColumnIndex::Build(*data));
+    MatrixSource source(data);
+    reference = BuildStreamedReference(&source, options);
   });
   Result<StreamedDataset> streamed = Status::RuntimeError("not run");
   result.optimized_seconds = TimeBest(flags.reps, [&] {
     MatrixSource source(data);
-    StreamedBuildOptions options;
-    options.threads = threads;
     streamed = BinnedIndex::BuildStreamed(&source, options);
   });
-  if (!streamed.ok()) {
+  if (!reference.ok() || !streamed.ok()) {
     result.identical = false;
-    result.quality_delta = 1.0;
     return result;
   }
-  const double n = static_cast<double>(data->num_rows());
-  double worst = 0.0;
-  for (int j = 0; j < flags.dims; ++j) {
-    const BinnedIndex& index = *streamed->index;
-    const double share = n / index.num_bins(j);
-    for (int b = 0; b < index.num_bins(j); ++b) {
-      const double population =
-          index.bin_begin_rank(j, b + 1) - index.bin_begin_rank(j, b);
-      worst = std::max(worst, std::fabs(population - share) / n);
+  const BinnedIndex& index = *streamed->index;
+  result.identical = index.kind() == reference->kind;
+  for (int j = 0; j < flags.dims && result.identical; ++j) {
+    const ColumnBinLayout& layout = reference->layouts[static_cast<size_t>(j)];
+    result.identical =
+        index.num_bins(j) == layout.live &&
+        index.codes(j) == reference->codes[static_cast<size_t>(j)] &&
+        index.sorted_rows(j) == reference->sorted[static_cast<size_t>(j)];
+    for (int b = 0; b <= layout.live && result.identical; ++b) {
+      result.identical =
+          index.bin_begin_rank(j, b) == layout.begins[static_cast<size_t>(b)] &&
+          (b == layout.live ||
+           (index.bin_first(j, b) == layout.first[static_cast<size_t>(b)] &&
+            index.bin_last(j, b) == layout.last[static_cast<size_t>(b)]));
     }
   }
-  result.quality_delta = worst;
-  result.identical = exact->codes(0) == streamed->index->codes(0);
   return result;
 }
 

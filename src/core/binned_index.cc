@@ -58,26 +58,32 @@ std::vector<int> PackRuns(const std::vector<ValueRun>& runs, int n,
   return begins;
 }
 
+}  // namespace
+
+// Row chunks small enough to stay in L1 while every column takes its
+// values: a column at a time over the whole block would stride through it
+// once per column. Each column still sees its values in row order, which
+// is all its summary depends on.
 void SketchBlock(const double* x, int rows, int m, int cap,
                  std::vector<ColumnSketch>* cols) {
-  for (int j = 0; j < m; ++j) {
-    ColumnSketch& col = (*cols)[static_cast<size_t>(j)];
-    for (int r = 0; r < rows; ++r) {
-      col.AddValue(x[static_cast<size_t>(r) * m + j], cap);
+  constexpr int kChunkRows = 128;
+  for (int begin = 0; begin < rows; begin += kChunkRows) {
+    const int end = std::min(rows, begin + kChunkRows);
+    for (int j = 0; j < m; ++j) {
+      ColumnSketch& col = (*cols)[static_cast<size_t>(j)];
+      for (int r = begin; r < end; ++r) {
+        col.AddValue(x[static_cast<size_t>(r) * m + j], cap);
+      }
     }
   }
 }
 
-}  // namespace
-
 // One-time spill of the exact pairs into the sketch on cap overflow. The
 // sketch is seeded lazily via weighted inserts the moment the cap breaks,
 // which summarizes the exact same multiset the eager feed would have --
-// with an exactly-known prefix.
+// with an exactly-known prefix. The sorted pairs go in as one run.
 void ColumnSketch::SpillToSketch() {
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    sketch.AddWeighted(distinct[i], count[i]);
-  }
+  sketch.AddWeightedRun(distinct.data(), count.data(), distinct.size());
   distinct.clear();
   distinct.shrink_to_fit();
   count.clear();
@@ -138,9 +144,8 @@ void ColumnSketch::MergeFrom(const ColumnSketch& other, int cap) {
   if (other.overflow) {
     sketch.Merge(other.sketch);
   } else {
-    for (size_t k = 0; k < other.distinct.size(); ++k) {
-      sketch.AddWeighted(other.distinct[k], other.count[k]);
-    }
+    sketch.AddWeightedRun(other.distinct.data(), other.count.data(),
+                          other.distinct.size());
   }
 }
 

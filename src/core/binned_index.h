@@ -139,6 +139,12 @@ struct ColumnSketch {
   static Result<ColumnSketch> DeserializeFrom(util::ByteReader* in);
 };
 
+/// Adds a row-major block of `rows` x `m` values to the per-column
+/// summaries `cols` (one per column), each column in row order. The sketch
+/// pass of BuildStreamed and of a shard worker.
+void SketchBlock(const double* x, int rows, int m, int cap,
+                 std::vector<ColumnSketch>* cols);
+
 /// Bin upper bounds derived from a finished pass-1 column summary: the
 /// distinct values themselves below the cap, equal-share sketch quantiles
 /// plus a +inf catch-all above it. Consumes the summary's distinct list.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <memory>
 #include <numeric>
 
@@ -12,33 +13,54 @@ namespace reds {
 void ParetoFilter(std::vector<Box>* boxes, std::vector<PrPoint>* curve) {
   assert(boxes->size() == curve->size());
   const size_t n = boxes->size();
-  std::vector<bool> dominated(n, false);
+  const std::vector<PrPoint>& pr = *curve;
+  // A point is dominated iff some point is >= in both coordinates and > in
+  // one (a dominated dominator passes its dominance on, so the reference's
+  // skip of already-dominated points changes nothing). A NaN coordinate
+  // makes every comparison false: such a point neither dominates nor is
+  // dominated, and never equals a kept point, so it always survives.
+  // Every other point is swept by descending recall. Within a group of
+  // equal recall, a point survives iff its precision is the group maximum
+  // and beats every precision of strictly larger recall; the survivors of
+  // a group are then exact duplicates of each other, and the first one in
+  // input order is kept.
+  std::vector<size_t> order;
+  order.reserve(n);
+  std::vector<bool> keep(n, false);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n && !dominated[i]; ++j) {
-      if (i == j || dominated[j]) continue;
-      const bool geq = (*curve)[j].recall >= (*curve)[i].recall &&
-                       (*curve)[j].precision >= (*curve)[i].precision;
-      const bool strict = (*curve)[j].recall > (*curve)[i].recall ||
-                          (*curve)[j].precision > (*curve)[i].precision;
-      if (geq && strict) dominated[i] = true;
+    if (std::isnan(pr[i].recall) || std::isnan(pr[i].precision)) {
+      keep[i] = true;
+    } else {
+      order.push_back(i);
     }
   }
-  // Also drop exact duplicates in PR space (keep the first).
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (pr[a].recall != pr[b].recall) return pr[a].recall > pr[b].recall;
+    if (pr[a].precision != pr[b].precision) {
+      return pr[a].precision > pr[b].precision;
+    }
+    return a < b;
+  });
+  bool any_above = false;
+  double best_above = 0.0;  // max precision over strictly larger recall
+  for (size_t g = 0; g < order.size();) {
+    const double recall = pr[order[g]].recall;
+    size_t end = g + 1;
+    while (end < order.size() && pr[order[end]].recall == recall) ++end;
+    const double group_best = pr[order[g]].precision;
+    if (!any_above || group_best > best_above) {
+      keep[order[g]] = true;
+      best_above = group_best;
+    }
+    any_above = true;
+    g = end;
+  }
   std::vector<Box> kept_boxes;
   std::vector<PrPoint> kept_curve;
   for (size_t i = 0; i < n; ++i) {
-    if (dominated[i]) continue;
-    bool duplicate = false;
-    for (size_t j = 0; j < kept_curve.size(); ++j) {
-      if (kept_curve[j].recall == (*curve)[i].recall &&
-          kept_curve[j].precision == (*curve)[i].precision) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    kept_boxes.push_back((*boxes)[i]);
-    kept_curve.push_back((*curve)[i]);
+    if (!keep[i]) continue;
+    kept_boxes.push_back(std::move((*boxes)[i]));
+    kept_curve.push_back(pr[i]);
   }
   *boxes = std::move(kept_boxes);
   *curve = std::move(kept_curve);

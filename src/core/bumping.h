@@ -48,9 +48,15 @@ BumpingResult RunPrimBumpingReference(const Dataset& train,
                                       const BumpingConfig& config,
                                       uint64_t seed);
 
-/// Removes boxes dominated in (recall, precision); ties kept once. Exposed
+/// Removes boxes dominated in (recall, precision); ties kept once (the
+/// first in input order), survivors in input order. O(n log n). Exposed
 /// for tests.
 void ParetoFilter(std::vector<Box>* boxes, std::vector<PrPoint>* curve);
+
+/// The original O(n^2) pairwise filter: the golden reference ParetoFilter
+/// must match (core/prim_reference.cc); RunPrimBumpingReference uses it.
+void ParetoFilterReference(std::vector<Box>* boxes,
+                           std::vector<PrPoint>* curve);
 
 }  // namespace reds
 

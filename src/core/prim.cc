@@ -303,6 +303,22 @@ class BinnedPeelState {
   }
 
  private:
+  // Every in-box row of `dim` lies in its window [lo_rank_, hi_rank_),
+  // whose ends are live rows after each Apply's trim, so bins below the
+  // code of the first window row and above the code of the last hold no
+  // in-box row: bottom-up walks start at FirstBin, top-down ones at
+  // LastBin, with the same result as a walk over every bin.
+  size_t FirstBin(int dim) const {
+    const int r = index_.sorted_rows(dim)[static_cast<size_t>(
+        lo_rank_[static_cast<size_t>(dim)])];
+    return static_cast<size_t>(binned_.code(dim, r));
+  }
+  int LastBin(int dim) const {
+    const int r = index_.sorted_rows(dim)[static_cast<size_t>(
+        hi_rank_[static_cast<size_t>(dim)] - 1)];
+    return binned_.code(dim, r);
+  }
+
   void Remove(int r) {
     if (!in_box_[static_cast<size_t>(r)]) return;
     in_box_[static_cast<size_t>(r)] = 0;
@@ -325,7 +341,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     int cum = 0;
     double sum = 0.0;
-    for (size_t b = 0; b < counts.size(); ++b) {
+    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
       if (cum + counts[b] <= count) {
         cum += counts[b];
         sum += pos_sums[b];
@@ -359,7 +375,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     int cum = 0;
     double sum = 0.0;
-    for (int b = static_cast<int>(counts.size()) - 1; b >= 0; --b) {
+    for (int b = LastBin(dim); b >= 0; --b) {
       const int c = counts[static_cast<size_t>(b)];
       if (cum + c <= count) {
         cum += c;
@@ -389,7 +405,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     const std::vector<double>& col = index_.column(dim);
     int cum = 0;
-    for (int b = static_cast<int>(counts.size()) - 1; b >= 0; --b) {
+    for (int b = LastBin(dim); b >= 0; --b) {
       const int c = counts[static_cast<size_t>(b)];
       if (cum + c <= rank) {
         cum += c;
@@ -420,7 +436,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     const std::vector<double>& col = index_.column(dim);
     int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
+    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
       const int c = counts[b];
       if (cum + c <= rank) {
         cum += c;
@@ -453,7 +469,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     const std::vector<double>& col = index_.column(dim);
     int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
+    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
       if (binned_.bin_last(dim, static_cast<int>(b)) >= v) {
         if (binned_.bin_first(dim, static_cast<int>(b)) >= v) return cum;
         const int begin =
@@ -480,7 +496,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     const std::vector<double>& col = index_.column(dim);
     int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
+    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
       if (binned_.bin_last(dim, static_cast<int>(b)) >= v) {
         if (binned_.bin_first(dim, static_cast<int>(b)) > v) return cum;
         const int begin =
@@ -509,7 +525,7 @@ class BinnedPeelState {
     const std::vector<int>& sorted = index_.sorted_rows(dim);
     const std::vector<double>& col = index_.column(dim);
     int cum = 0;
-    for (int b = static_cast<int>(counts.size()) - 1; b >= 0; --b) {
+    for (int b = LastBin(dim); b >= 0; --b) {
       if (binned_.bin_first(dim, b) <= v) {
         if (binned_.bin_last(dim, b) <= v) return cum;
         const int begin = std::max(binned_.bin_begin_rank(dim, b),
@@ -551,7 +567,7 @@ class BinnedPeelState {
     // ascending through the remaining window.
     int cum = 0;
     int start = hi_rank_[static_cast<size_t>(dim)];
-    for (size_t b = 0; b < counts.size(); ++b) {
+    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
       const int c = counts[b];
       if (cum + c <= from_rank) {
         cum += c;

@@ -401,6 +401,42 @@ PrimResult RunPrimReference(const Dataset& train, const Dataset& val,
   return result;
 }
 
+void ParetoFilterReference(std::vector<Box>* boxes,
+                           std::vector<PrPoint>* curve) {
+  assert(boxes->size() == curve->size());
+  const size_t n = boxes->size();
+  std::vector<bool> dominated(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n && !dominated[i]; ++j) {
+      if (i == j || dominated[j]) continue;
+      const bool geq = (*curve)[j].recall >= (*curve)[i].recall &&
+                       (*curve)[j].precision >= (*curve)[i].precision;
+      const bool strict = (*curve)[j].recall > (*curve)[i].recall ||
+                          (*curve)[j].precision > (*curve)[i].precision;
+      if (geq && strict) dominated[i] = true;
+    }
+  }
+  // Also drop exact duplicates in PR space (keep the first).
+  std::vector<Box> kept_boxes;
+  std::vector<PrPoint> kept_curve;
+  for (size_t i = 0; i < n; ++i) {
+    if (dominated[i]) continue;
+    bool duplicate = false;
+    for (size_t j = 0; j < kept_curve.size(); ++j) {
+      if (kept_curve[j].recall == (*curve)[i].recall &&
+          kept_curve[j].precision == (*curve)[i].precision) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (duplicate) continue;
+    kept_boxes.push_back((*boxes)[i]);
+    kept_curve.push_back((*curve)[i]);
+  }
+  *boxes = std::move(kept_boxes);
+  *curve = std::move(kept_curve);
+}
+
 BumpingResult RunPrimBumpingReference(const Dataset& train,
                                       const Dataset& val,
                                       const BumpingConfig& config,
@@ -441,7 +477,7 @@ BumpingResult RunPrimBumpingReference(const Dataset& train,
     boxes.push_back(std::move(full));
   }
 
-  ParetoFilter(&boxes, &curve);
+  ParetoFilterReference(&boxes, &curve);
 
   // Sort by decreasing recall so the sequence reads like a peeling trajectory.
   std::vector<size_t> order(boxes.size());

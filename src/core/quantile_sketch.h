@@ -13,6 +13,9 @@
 //
 // Everything is deterministic: same input sequence (and merge order), same
 // summary -- a requirement for reproducible bin boundaries and cache keys.
+// The buffer sort, the fused fold + compress, the merge walk and weighted
+// runs are fast forms of core/quantile_sketch_reference.h and leave the
+// identical summary bytes (tests/quantile_sketch_test.cc).
 #ifndef REDS_CORE_QUANTILE_SKETCH_H_
 #define REDS_CORE_QUANTILE_SKETCH_H_
 
@@ -32,7 +35,10 @@ class QuantileSketch {
   /// within eps * count() of r.
   explicit QuantileSketch(double eps = 1.0 / 2048.0);
 
-  void Add(double v);
+  void Add(double v) {
+    buffer_.push_back(v);
+    if (buffer_.size() >= buffer_cap_) FoldBuffer<true>();
+  }
 
   /// Adds `w` copies of `v` in O(summary) instead of O(w): the copies land
   /// as one exact tuple (g = w, delta = 0), the summary state an
@@ -41,6 +47,15 @@ class QuantileSketch {
   /// sketch only when its distinct budget overflows, skipping per-value
   /// sketch work on low-cardinality streams entirely.
   void AddWeighted(double v, int64_t w);
+
+  /// AddWeighted(values[i], weights[i]) for i = 0..k-1, in that order, with
+  /// the identical resulting summary. When the values ascend, the tuples
+  /// are in order and neither holds a NaN, the pairs are merged into the
+  /// tuple list in one pass, and the greedy compress runs only after a pair
+  /// that leaves some adjacent tuples mergeable under the current gap
+  /// budget -- after any other pair it provably changes nothing. Any other
+  /// input takes the pair-at-a-time path.
+  void AddWeightedRun(const double* values, const int64_t* weights, size_t k);
 
   /// Folds `other` (a summary of a disjoint stream) into this sketch.
   /// Both must share the same eps.
@@ -90,7 +105,12 @@ class QuantileSketch {
   };
 
   int64_t GapBudget(int64_t n) const;
-  void Flush() const;    // sort + fold the insert buffer into tuples_
+  // Sort the insert buffer and fold it into tuples_ in one forward pass;
+  // with kCompress the same pass also runs Compress over the folded
+  // sequence (the Add path).
+  template <bool kCompress>
+  void FoldBuffer() const;
+  void Flush() const { FoldBuffer<false>(); }
   void Compress() const; // merge adjacent tuples within the gap budget
 
   double eps_;

@@ -128,15 +128,9 @@ Status ShardWorker::HandleSketch(const std::string& payload) {
     // Per-block local sketches folded in block order -- the serial
     // BuildStreamed discipline, so a 1-worker fleet's summary state equals
     // the single-process build's even in the sketch-overflow regime.
-    const double* x = block->x.data();
     std::vector<ColumnSketch> local(static_cast<size_t>(m_),
                                     ColumnSketch(eps_));
-    for (int j = 0; j < m_; ++j) {
-      ColumnSketch& col = local[static_cast<size_t>(j)];
-      for (int r = 0; r < rows; ++r) {
-        col.AddValue(x[static_cast<size_t>(r) * m_ + j], cap_);
-      }
-    }
+    SketchBlock(block->x.data(), rows, m_, cap_, &local);
     for (int j = 0; j < m_; ++j) {
       acc[static_cast<size_t>(j)].MergeFrom(local[static_cast<size_t>(j)],
                                             cap_);

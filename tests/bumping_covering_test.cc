@@ -3,6 +3,8 @@
 // RunPrimBumpingReference) and the covering approach.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,46 @@ TEST(ParetoFilterTest, DeduplicatesEqualPoints) {
   std::vector<PrPoint> curve{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}};
   ParetoFilter(&boxes, &curve);
   EXPECT_EQ(curve.size(), 1u);
+}
+
+// The O(n log n) filter keeps the reference's survivors in the reference's
+// order -- the first of each exact duplicate included -- on random curves
+// drawn from a few levels (ties and duplicates everywhere), all-equal
+// curves, signed zeros and NaN coordinates.
+TEST(ParetoFilterTest, MatchesReferenceOnTiesAndDuplicates) {
+  Rng rng(91);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(60));
+    const int levels = 1 + static_cast<int>(rng.UniformInt(6));
+    std::vector<Box> boxes;
+    std::vector<PrPoint> curve;
+    for (int i = 0; i < n; ++i) {
+      Box b = Box::Unbounded(1);
+      b.set_lo(0, i);  // identifies the input position
+      boxes.push_back(b);
+      PrPoint p{static_cast<double>(rng.UniformInt(levels)) / levels,
+                static_cast<double>(rng.UniformInt(levels)) / levels};
+      if (trial % 4 == 1) p = {0.5, 0.25};  // all-equal curve
+      if (trial % 4 == 2 && rng.Bernoulli(0.2)) {
+        p.recall = rng.Bernoulli(0.5) ? -0.0 : 0.0;
+      }
+      if (trial % 4 == 3 && rng.Bernoulli(0.1)) {
+        (rng.Bernoulli(0.5) ? p.recall : p.precision) = nan;
+      }
+      curve.push_back(p);
+    }
+    std::vector<Box> ref_boxes = boxes;
+    std::vector<PrPoint> ref_curve = curve;
+    ParetoFilterReference(&ref_boxes, &ref_curve);
+    ParetoFilter(&boxes, &curve);
+    ASSERT_EQ(boxes.size(), ref_boxes.size()) << "trial " << trial;
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      EXPECT_EQ(boxes[i].lo(0), ref_boxes[i].lo(0)) << "trial " << trial;
+      EXPECT_EQ(std::memcmp(&curve[i], &ref_curve[i], sizeof(PrPoint)), 0)
+          << "trial " << trial;
+    }
+  }
 }
 
 TEST(BumpingTest, CurveIsParetoAndSortedByRecall) {

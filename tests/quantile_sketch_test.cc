@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/binned_index.h"
 #include "core/quantile_sketch.h"
+#include "core/quantile_sketch_reference.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -312,69 +315,232 @@ TEST(StreamedCoderTest, MatchesStreamedCodeOf) {
   ExpectCoderMatchesStreamedCodeOf({-inf, 0.0, 1.0}, "-inf first bound");
 }
 
-// --- BuildStreamed in the sketch regime against the reference helpers. ----
+// --- The fast sketch pass against the golden reference. --------------------
 
-// BuildStreamed re-done with the golden references: the same block-local
-// summaries folded in block order, bounds from one QueryRank per rank,
-// codes from StreamedCodeOf, the same layout assembly, and the
-// (code, row)-ordered permutation by a stable sort.
-struct ReferenceBuild {
-  std::vector<std::vector<uint8_t>> codes;
-  std::vector<ColumnBinLayout> layouts;
-  std::vector<std::vector<int>> sorted_rows;
-};
-
-ReferenceBuild BuildWithReferenceHelpers(const Dataset& data, int block_rows) {
-  const int n = data.num_rows();
-  const int m = data.num_cols();
-  const int cap = BinnedIndex::kMaxBins;
-  const double eps = StreamedBuildOptions().sketch_eps;
-  std::vector<ColumnSketch> acc(static_cast<size_t>(m), ColumnSketch(eps));
-  for (int begin = 0; begin < n; begin += block_rows) {
-    const int end = std::min(n, begin + block_rows);
-    for (int j = 0; j < m; ++j) {
-      ColumnSketch local(eps);
-      for (int r = begin; r < end; ++r) local.AddValue(data.x(r, j), cap);
-      acc[static_cast<size_t>(j)].MergeFrom(local, cap);
-    }
-  }
-  ReferenceBuild out;
-  for (int j = 0; j < m; ++j) {
-    ColumnSketch& cs = acc[static_cast<size_t>(j)];
-    EXPECT_TRUE(cs.overflow) << "column " << j << " must be sketch-binned";
-    std::vector<double> ub;
-    for (int b = 1; b < cap; ++b) {
-      const double v = cs.sketch.QueryRank(static_cast<int64_t>(b) * n / cap);
-      if (ub.empty() || v > ub.back()) ub.push_back(v);
-    }
-    ub.push_back(std::numeric_limits<double>::infinity());
-    BinCodingStats stats;
-    stats.Reset(ub.size());
-    std::vector<uint8_t> codes;
-    for (int r = 0; r < n; ++r) {
-      const uint8_t b = StreamedCodeOf(ub, data.x(r, j));
-      codes.push_back(b);
-      stats.Observe(b, data.x(r, j));
-    }
-    ColumnBinLayout layout = AssembleColumnBins(stats, n);
-    for (uint8_t& c : codes) c = layout.remap[c];
-    std::vector<int> rows(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) rows[static_cast<size_t>(r)] = r;
-    std::stable_sort(rows.begin(), rows.end(), [&](int a, int b) {
-      return codes[static_cast<size_t>(a)] < codes[static_cast<size_t>(b)];
-    });
-    out.codes.push_back(std::move(codes));
-    out.layouts.push_back(std::move(layout));
-    out.sorted_rows.push_back(std::move(rows));
-  }
-  return out;
+template <typename Sketch>
+std::string SketchBytes(const Sketch& sketch) {
+  util::ByteWriter out;
+  sketch.SerializeTo(&out);
+  return out.data();
 }
 
-TEST(StreamedCoderTest, SketchRegimeBuildMatchesReferenceHelpers) {
+enum class StreamKind {
+  kUniform,
+  kTieHeavy,
+  kSignedZeros,  // buffers holding both -0.0 and +0.0
+  kSpecials,     // NaN, +-inf and denormals among ordinary values
+  kDescending,
+  kLog,
+  kClustered,    // distinct values crowded next to a few far outliers
+};
+
+double StreamValue(StreamKind kind, Rng* rng, int i) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  switch (kind) {
+    case StreamKind::kUniform:
+      return rng->Uniform();
+    case StreamKind::kTieHeavy:
+      return 0.25 * static_cast<double>(rng->UniformInt(9));
+    case StreamKind::kSignedZeros: {
+      static const double kValues[] = {-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.5};
+      return rng->Bernoulli(0.6) ? kValues[rng->UniformInt(7)]
+                                 : rng->Uniform(-1.0, 1.0);
+    }
+    case StreamKind::kSpecials: {
+      const double kValues[] = {std::nan(""), inf, -inf, denorm, -denorm,
+                                3.0 * denorm, -0.0, 0.0};
+      return rng->Bernoulli(0.1) ? kValues[rng->UniformInt(8)]
+                                 : rng->Uniform(-1.0, 1.0);
+    }
+    case StreamKind::kDescending:
+      return 1e6 - static_cast<double>(i);
+    case StreamKind::kLog:
+      return std::log(1.0 + 1e6 * rng->Uniform());
+    case StreamKind::kClustered:
+      return rng->Bernoulli(0.01) ? 1e6 * rng->Uniform()
+                                  : 0.5 + 1e-12 * rng->Uniform();
+  }
+  return 0.0;
+}
+
+const StreamKind kAllStreams[] = {
+    StreamKind::kUniform,    StreamKind::kTieHeavy,   StreamKind::kSignedZeros,
+    StreamKind::kSpecials,   StreamKind::kDescending, StreamKind::kLog,
+    StreamKind::kClustered};
+
+// Bitwise equality of two query answers (NaN answers included).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// Drives a QuantileSketch and a QuantileSketchReference through the same
+// randomized interleaving of Add / AddWeighted / AddWeightedRun / Merge /
+// QueryRanks. With check_every_op the serialized bytes are compared after
+// every operation (which flushes both buffers every time); otherwise only
+// at random checkpoints, so insert buffers fill up and the Add path's
+// fused flush + compress runs.
+void RunAgainstReference(StreamKind kind, double eps, uint64_t seed,
+                         bool check_every_op, bool start_deserialized) {
+  Rng rng(seed);
+  QuantileSketch fast(eps);
+  QuantileSketchReference ref(eps);
+  int i = 0;
+  if (start_deserialized) {
+    for (int k = 0; k < 3000; ++k) {
+      const double v = StreamValue(kind, &rng, i++);
+      fast.Add(v);
+      ref.Add(v);
+    }
+    const std::string bytes = SketchBytes(fast);
+    ASSERT_EQ(bytes, SketchBytes(ref));
+    util::ByteReader fast_in(bytes), ref_in(bytes);
+    Result<QuantileSketch> f = QuantileSketch::DeserializeFrom(&fast_in);
+    Result<QuantileSketchReference> r =
+        QuantileSketchReference::DeserializeFrom(&ref_in);
+    // A NaN can leave the tuple values unordered, which the decoder
+    // rejects; such a summary has no wire form to start from.
+    ASSERT_EQ(f.ok(), r.ok());
+    if (f.ok()) {
+      fast = *std::move(f);
+      ref = *std::move(r);
+    }
+  }
+  // Checking every operation flushes every Add, so that run stays short.
+  const int ops = check_every_op ? 200 : 1200;
+  for (int op = 0; op < ops; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const double pick = rng.Uniform();
+    if (pick < 0.85) {
+      const double v = StreamValue(kind, &rng, i++);
+      fast.Add(v);
+      ref.Add(v);
+    } else if (pick < 0.88) {
+      const double v = StreamValue(kind, &rng, i++);
+      const int64_t w = static_cast<int64_t>(rng.UniformInt(60)) - 2;
+      fast.AddWeighted(v, w);
+      ref.AddWeighted(v, w);
+    } else if (pick < 0.92) {
+      // A weighted run: ascending (sorted) unless the coin says otherwise,
+      // with repeats and a few non-positive weights.
+      const int k = 1 + static_cast<int>(rng.UniformInt(120));
+      std::vector<double> values;
+      std::vector<int64_t> weights;
+      for (int q = 0; q < k; ++q) {
+        values.push_back(StreamValue(kind, &rng, i++));
+        weights.push_back(static_cast<int64_t>(rng.UniformInt(
+                              rng.Bernoulli(0.5) ? 4 : 3000)) -
+                          (rng.Bernoulli(0.05) ? 1 : 0));
+      }
+      if (rng.Bernoulli(0.9)) std::sort(values.begin(), values.end());
+      fast.AddWeightedRun(values.data(), weights.data(), values.size());
+      for (int q = 0; q < k; ++q) ref.AddWeighted(values[q], weights[q]);
+    } else if (pick < 0.96) {
+      QuantileSketch fast_other(eps);
+      QuantileSketchReference ref_other(eps);
+      const int k = static_cast<int>(rng.UniformInt(2500));
+      for (int q = 0; q < k; ++q) {
+        const double v = StreamValue(kind, &rng, i++);
+        fast_other.Add(v);
+        ref_other.Add(v);
+      }
+      Result<QuantileSketch> loaded = Status::InvalidArgument("unused");
+      if (rng.Bernoulli(0.3)) {
+        const std::string bytes = SketchBytes(fast_other);
+        ASSERT_EQ(bytes, SketchBytes(ref_other));
+        util::ByteReader in(bytes);
+        loaded = QuantileSketch::DeserializeFrom(&in);
+      }
+      fast.Merge(loaded.ok() ? *loaded : fast_other);
+      ref.Merge(ref_other);
+    } else if (pick < 0.98) {
+      // QueryRanks flushes without compressing; the answers must match
+      // the reference's state read back through the decoder.
+      std::vector<int64_t> ranks;
+      for (int b = 0; b <= 40; ++b) ranks.push_back(b * ref.count() / 40);
+      const std::vector<double> got = fast.QueryRanks(ranks);
+      const std::string ref_bytes = SketchBytes(ref);  // flushes ref
+      ASSERT_EQ(SketchBytes(fast), ref_bytes);
+      util::ByteReader in(ref_bytes);
+      Result<QuantileSketch> ref_view = QuantileSketch::DeserializeFrom(&in);
+      if (ref_view.ok()) {
+        const std::vector<double> want = ref_view->QueryRanks(ranks);
+        for (size_t q = 0; q < ranks.size(); ++q) {
+          ASSERT_TRUE(SameBits(got[q], want[q])) << "rank " << ranks[q];
+        }
+      }
+    }
+    if (check_every_op || rng.Bernoulli(0.01)) {
+      ASSERT_EQ(SketchBytes(fast), SketchBytes(ref));
+    }
+  }
+  ASSERT_EQ(fast.count(), ref.count());
+  ASSERT_EQ(SketchBytes(fast), SketchBytes(ref));
+}
+
+TEST(SketchReferenceTest, SameBytesAsReferenceOnRandomInterleavings) {
+  for (StreamKind kind : kAllStreams) {
+    for (double eps : {1.0 / 2048.0, 0.01}) {
+      SCOPED_TRACE("stream " + std::to_string(static_cast<int>(kind)) +
+                   " eps " + std::to_string(eps));
+      RunAgainstReference(kind, eps, 1, /*check_every_op=*/false,
+                          /*start_deserialized=*/false);
+      RunAgainstReference(kind, eps, 2, /*check_every_op=*/false,
+                          /*start_deserialized=*/true);
+      RunAgainstReference(kind, eps, 3, /*check_every_op=*/true,
+                          /*start_deserialized=*/false);
+    }
+  }
+}
+
+// The column tracker: exact pairs, the spill on overflow, and every merge
+// direction (exact + exact, exact into a spilled summary, spilled into
+// exact, spilled + spilled), compared byte for byte after every step.
+TEST(SketchReferenceTest, ColumnSketchSameBytesAsReference) {
+  for (StreamKind kind : kAllStreams) {
+    for (int cap : {8, 64, 256}) {
+      for (double eps : {1.0 / 2048.0, 0.01}) {
+        SCOPED_TRACE("stream " + std::to_string(static_cast<int>(kind)) +
+                     " cap " + std::to_string(cap) + " eps " +
+                     std::to_string(eps));
+        Rng rng(static_cast<uint64_t>(cap) * 31 + 7);
+        ColumnSketch fast(eps);
+        ColumnSketchReference ref(eps);
+        int i = 0;
+        for (int block = 0; block < 12; ++block) {
+          ColumnSketch fast_local(eps);
+          ColumnSketchReference ref_local(eps);
+          // Small blocks stay exact, large ones spill.
+          const int rows = static_cast<int>(
+              rng.UniformInt(rng.Bernoulli(0.5) ? 40 : 5000));
+          for (int r = 0; r < rows; ++r) {
+            const double v = StreamValue(kind, &rng, i++);
+            fast_local.AddValue(v, cap);
+            ref_local.AddValue(v, cap);
+          }
+          ASSERT_EQ(SketchBytes(fast_local), SketchBytes(ref_local));
+          fast.MergeFrom(fast_local, cap);
+          ref.MergeFrom(ref_local, cap);
+          ASSERT_EQ(SketchBytes(fast), SketchBytes(ref)) << "block " << block;
+        }
+      }
+    }
+  }
+}
+
+// --- BuildStreamed in the sketch regime against the golden build. --------
+
+// BuildStreamed equals BuildStreamedReference -- the reference sketch pass,
+// one QueryRank per bound, StreamedCodeOf per value and a stable sort for
+// the permutation -- in kind, codes, bin bounds, begin ranks and
+// permutation, on every block size and thread count: the fast sketch pass
+// and the fast bound, coding and permutation helpers at once.
+TEST(StreamedCoderTest, SketchRegimeBuildMatchesReferenceBuild) {
   Rng rng(59);
-  const int n = 30000, m = 3;
+  const int n = 20000, m = 4;
   auto uniform = std::make_shared<Dataset>(m);
   auto logit_normal = std::make_shared<Dataset>(m);
+  auto mixed = std::make_shared<Dataset>(m);
   for (int i = 0; i < n; ++i) {
     double u[m], l[m];
     for (int j = 0; j < m; ++j) {
@@ -383,35 +549,51 @@ TEST(StreamedCoderTest, SketchRegimeBuildMatchesReferenceHelpers) {
     }
     uniform->AddRow(u, 0.0);
     logit_normal->AddRow(l, 1.0);
+    const double row[m] = {
+        rng.Uniform(),                                        // sketch
+        static_cast<double>(rng.UniformInt(48)),              // exact pack
+        0.5 * static_cast<double>(rng.UniformInt(300)),       // tied sketch
+        rng.Bernoulli(0.5) ? (rng.Bernoulli(0.5) ? -0.0 : 0.0)
+                           : std::log(rng.Uniform() + 1e-9),  // zeros + tail
+    };
+    mixed->AddRow(row, rng.Bernoulli(0.3) ? 1.0 : 0.0);
   }
-  for (const auto& data : {uniform, logit_normal}) {
-    for (int block_rows : {1000, 8192}) {
-      const ReferenceBuild ref = BuildWithReferenceHelpers(*data, block_rows);
+  for (const auto& data : {uniform, logit_normal, mixed}) {
+    for (int block_rows : {77, 1000, 8192}) {
+      // Tiny blocks stay exact and fold in through the weighted path, which
+      // the reference runs pair by pair: only the mixed data takes them.
+      if (block_rows == 77 && data != mixed) continue;
+      StreamedBuildOptions options;
+      options.block_rows = block_rows;
+      MatrixSource ref_source(data);
+      Result<StreamedBinsReference> ref =
+          BuildStreamedReference(&ref_source, options);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      ASSERT_EQ(ref->kind, BinnedIndex::BuildKind::kSketch);
       for (int threads : {1, 4}) {
         SCOPED_TRACE("block_rows " + std::to_string(block_rows) +
                      " threads " + std::to_string(threads));
-        MatrixSource source(data);
-        StreamedBuildOptions options;
-        options.block_rows = block_rows;
         options.threads = threads;
+        MatrixSource source(data);
         Result<StreamedDataset> built =
             BinnedIndex::BuildStreamed(&source, options);
         ASSERT_TRUE(built.ok()) << built.status().ToString();
         const BinnedIndex& index = *built->index;
-        ASSERT_EQ(index.kind(), BinnedIndex::BuildKind::kSketch);
+        EXPECT_EQ(index.kind(), ref->kind);
         for (int j = 0; j < m; ++j) {
-          const ColumnBinLayout& layout = ref.layouts[static_cast<size_t>(j)];
+          const ColumnBinLayout& layout =
+              ref->layouts[static_cast<size_t>(j)];
           ASSERT_EQ(index.num_bins(j), layout.live) << "col " << j;
-          EXPECT_TRUE(index.codes(j) == ref.codes[static_cast<size_t>(j)])
+          EXPECT_TRUE(index.codes(j) == ref->codes[static_cast<size_t>(j)])
               << "col " << j;
           EXPECT_TRUE(index.sorted_rows(j) ==
-                      ref.sorted_rows[static_cast<size_t>(j)])
+                      ref->sorted[static_cast<size_t>(j)])
               << "col " << j;
           for (int b = 0; b < layout.live; ++b) {
-            EXPECT_EQ(index.bin_first(j, b),
-                      layout.first[static_cast<size_t>(b)]);
-            EXPECT_EQ(index.bin_last(j, b),
-                      layout.last[static_cast<size_t>(b)]);
+            EXPECT_TRUE(SameBits(index.bin_first(j, b),
+                                 layout.first[static_cast<size_t>(b)]));
+            EXPECT_TRUE(SameBits(index.bin_last(j, b),
+                                 layout.last[static_cast<size_t>(b)]));
           }
           for (int b = 0; b <= layout.live; ++b) {
             EXPECT_EQ(index.bin_begin_rank(j, b),
