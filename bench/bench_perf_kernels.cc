@@ -1,8 +1,8 @@
 // Perf-regression harness for the columnar and quantized hot paths: times
-// the exact scalar kernels, the PR 2 sorted/presorted kernels, and the PR 3
-// binned/histogram kernels against each other on the paper-scale shapes
-// (PRIM peeling over L relabeled points, GBT/RF metamodel fits, BI beam
-// search) and emits machine-readable JSON, extending the BENCH_*.json
+// each fast kernel against its golden reference (or, for approximate
+// kernels, its exact counterpart) on the paper-scale shapes (PRIM peeling
+// over L relabeled points, GBT/RF metamodel fits, BI beam search) and
+// emits machine-readable JSON, extending the BENCH_*.json
 // trajectory. Exact kernels must reproduce their reference bit-for-bit;
 // approximate kernels (histogram trees beyond the bin budget) must stay
 // within a small training-quality delta.
@@ -39,10 +39,12 @@
 #include "core/quality.h"
 #include "core/quantile_sketch_reference.h"
 #include "engine/discovery_engine.h"
+#include "functions/dsgc.h"
 #include "ml/gbt.h"
 #include "ml/histogram.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "ml/svm.h"
 #include "ml/tuning.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -204,7 +206,7 @@ double TrainLogLoss(const ml::Metamodel& model, const Dataset& d) {
   return ml::LogLoss(prob, y);
 }
 
-// --- PRIM: scalar reference vs sorted-index kernel (the PR 2 pair). ------
+// --- PRIM: scalar reference vs RunPrim, index builds included. ----------
 KernelResult BenchPrimPeel(const PerfFlags& flags, bool paste) {
   KernelResult result;
   result.name = paste ? "prim_paste" : "prim_peel";
@@ -212,7 +214,6 @@ KernelResult BenchPrimPeel(const PerfFlags& flags, bool paste) {
   PrimConfig config;
   config.alpha = 0.05;
   config.paste = paste;
-  config.backend = PrimPeelBackend::kSorted;
   result.detail = "L=" + std::to_string(flags.l_points) +
                   " d=" + std::to_string(flags.dims) + " alpha=0.05" +
                   (paste ? " +pasting" : "");
@@ -226,29 +227,26 @@ KernelResult BenchPrimPeel(const PerfFlags& flags, bool paste) {
   return result;
 }
 
-// --- PRIM: sorted-index kernel vs binned kernel (the PR 3 pair). Both ----
-// get prebuilt indexes, so the timing isolates the peel loops themselves.
-KernelResult BenchPrimBinned(const PerfFlags& flags, int threads) {
+// --- PRIM: scalar reference vs RunPrim's block-parallel candidate pass --
+// on prebuilt indexes, so the timing isolates the peel loop itself.
+KernelResult BenchPrimParallel(const PerfFlags& flags) {
   KernelResult result;
-  result.name = threads > 1 ? "prim_peel_binned_parallel" : "prim_peel_binned";
+  result.name = "prim_peel_parallel";
   const Dataset d = RandomData(flags.l_points, flags.dims, flags.seed);
   const auto index = ColumnIndex::Build(d);
   const auto binned = BinnedIndex::Build(*index);
-  PrimConfig sorted_config;
-  sorted_config.alpha = 0.05;
-  sorted_config.backend = PrimPeelBackend::kSorted;
-  PrimConfig binned_config = sorted_config;
-  binned_config.backend = PrimPeelBackend::kBinned;
-  binned_config.threads = threads;
+  PrimConfig config;
+  config.alpha = 0.05;
+  config.threads = flags.threads;
   result.detail = "L=" + std::to_string(flags.l_points) +
-                  " d=" + std::to_string(flags.dims) + " alpha=0.05" +
-                  (threads > 1 ? " threads=" + std::to_string(threads) : "");
+                  " d=" + std::to_string(flags.dims) +
+                  " alpha=0.05 threads=" + std::to_string(flags.threads);
 
   PrimResult ref, opt;
-  result.reference_seconds = TimeBest(
-      flags.reps, [&] { ref = RunPrim(d, d, sorted_config, index.get()); });
+  result.reference_seconds =
+      TimeBest(flags.reps, [&] { ref = RunPrimReference(d, d, config); });
   result.optimized_seconds = TimeBest(flags.reps, [&] {
-    opt = RunPrim(d, d, binned_config, index.get(), binned.get());
+    opt = RunPrim(d, d, config, index.get(), binned.get());
   });
   result.identical = SamePrimResult(ref, opt);
   return result;
@@ -600,21 +598,19 @@ KernelResult BenchStreamedBuild(const PerfFlags& flags, int threads) {
   return result;
 }
 
-// --- Streamed PRIM: the sorted-index kernel on the materialized matrix ---
-// vs RunPrimStreamed on codes alone. Discrete-valued data keeps both in
-// the exact regime, so the boxes must be bit-identical; both get prebuilt
-// indexes, isolating the peel loops.
+// --- Streamed PRIM: the scalar reference on the materialized matrix vs ---
+// RunPrimStreamed on codes alone. Discrete-valued data keeps the streamed
+// bins single values, so the boxes must be bit-identical; the streamed
+// index is prebuilt, isolating the peel loop.
 KernelResult BenchPrimStreamed(const PerfFlags& flags) {
   KernelResult result;
   result.name = "prim_peel_streamed";
   const auto data = std::make_shared<Dataset>(
       RandomData(flags.l_points, flags.dims, flags.seed, /*distinct=*/128));
-  const auto index = ColumnIndex::Build(*data);
   MatrixSource source(data);
   auto streamed = BinnedIndex::BuildStreamed(&source);
-  PrimConfig sorted_config;
-  sorted_config.alpha = 0.05;
-  sorted_config.backend = PrimPeelBackend::kSorted;
+  PrimConfig config;
+  config.alpha = 0.05;
   result.detail = "L=" + std::to_string(flags.l_points) +
                   " d=" + std::to_string(flags.dims) +
                   " alpha=0.05 128-distinct";
@@ -625,9 +621,9 @@ KernelResult BenchPrimStreamed(const PerfFlags& flags) {
 
   PrimResult ref, opt;
   result.reference_seconds = TimeBest(
-      flags.reps, [&] { ref = RunPrim(*data, *data, sorted_config, index.get()); });
+      flags.reps, [&] { ref = RunPrimReference(*data, *data, config); });
   result.optimized_seconds = TimeBest(flags.reps, [&] {
-    opt = RunPrimStreamed(*streamed->index, streamed->y, sorted_config);
+    opt = RunPrimStreamed(*streamed->index, streamed->y, config);
   });
   result.identical = SamePrimResult(ref, opt);
   return result;
@@ -659,7 +655,7 @@ KernelResult BenchWarmPeel(const PerfFlags& flags) {
     return result;
   }
   const BinnedIndex& index = *streamed->index;
-  const auto totals = StreamedBinTotals::Build(index, streamed->y);
+  const auto totals = StreamedBinTotals::Build(index, streamed->y.data());
 
   PrimResult ref, opt;
   result.reference_seconds = TimeBest(flags.reps, [&] {
@@ -893,7 +889,6 @@ KernelResult BenchMetricsOverhead(const PerfFlags& flags) {
   auto streamed = BinnedIndex::BuildStreamed(&source);
   PrimConfig config;
   config.alpha = 0.05;
-  config.backend = PrimPeelBackend::kSorted;
   const int passes = flags.quick ? 4 : 6;
   result.detail = "L=" + std::to_string(flags.l_points) +
                   " d=" + std::to_string(flags.dims) + " passes=" +
@@ -926,6 +921,58 @@ KernelResult BenchMetricsOverhead(const PerfFlags& flags) {
   return result;
 }
 
+// --- Substrate timings with no faster variant: the RBF SVM fit (the RPs --
+// metamodel) and the DSGC stability evaluation (one Jacobian eigen solve
+// per point). Each side runs the same call, so the speedup reads ~1; the
+// pair requires bitwise-identical output (determinism), and the quick
+// gate guards the time itself.
+KernelResult BenchSvmFit(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "svm_fit";
+  const int n = flags.quick ? 256 : 512;
+  const Dataset d = RandomData(n, flags.dims, flags.seed + 25);
+  result.detail = "n=" + std::to_string(n) + " d=" +
+                  std::to_string(flags.dims) + " rbf timing-only";
+
+  auto fit = [&] {
+    ml::SvmRbf svm;
+    svm.Fit(d, flags.seed + 26);
+    util::ByteWriter out;
+    svm.SerializeTo(&out);
+    return out.data();
+  };
+  std::string ref, opt;
+  result.reference_seconds = TimeBest(flags.reps, [&] { ref = fit(); });
+  result.optimized_seconds = TimeBest(flags.reps, [&] { opt = fit(); });
+  result.identical = ref == opt;
+  return result;
+}
+
+KernelResult BenchDsgcEvaluate(const PerfFlags& flags) {
+  KernelResult result;
+  result.name = "dsgc_evaluate";
+  const int points = flags.quick ? 500 : 5000;
+  Rng rng(flags.seed + 27);
+  std::vector<double> x(static_cast<size_t>(points) * 12);
+  for (double& v : x) v = rng.Uniform();
+  result.detail = std::to_string(points) + " points timing-only";
+
+  auto evaluate = [&] {
+    std::vector<double> out(static_cast<size_t>(points));
+    for (int i = 0; i < points; ++i) {
+      out[static_cast<size_t>(i)] = fun::DsgcSpectralAbscissa(
+          fun::DsgcParamsFromUnitCube(x.data() + static_cast<size_t>(i) * 12));
+    }
+    return out;
+  };
+  std::vector<double> ref, opt;
+  result.reference_seconds = TimeBest(flags.reps, [&] { ref = evaluate(); });
+  result.optimized_seconds = TimeBest(flags.reps, [&] { opt = evaluate(); });
+  result.identical =
+      std::memcmp(ref.data(), opt.data(), ref.size() * sizeof(double)) == 0;
+  return result;
+}
+
 KernelResult BenchBi(const PerfFlags& flags) {
   KernelResult result;
   result.name = "bi_search";
@@ -942,44 +989,6 @@ KernelResult BenchBi(const PerfFlags& flags) {
   result.optimized_seconds =
       TimeBest(flags.reps, [&] { opt = RunBi(d, config); });
   result.identical = ref.box == opt.box;
-  return result;
-}
-
-// --- CV tuning fold plans: the materialized reference (SubsetRows copies --
-// one training matrix + one fold index per grid evaluation) vs the
-// streamed plan (row views over a single shared full-data index, O(one
-// fold) extra residency). Presorted backend keeps the fold views exact, so
-// the winning cell, the refit model, and every probe prediction must be
-// bit-identical -- the speedup is a bonus on top of the residency win the
-// memory smoke asserts separately.
-KernelResult BenchTuningStreamedFolds(const PerfFlags& flags) {
-  KernelResult result;
-  result.name = "tuning_streamed_folds";
-  const int n = flags.quick ? flags.n_train : 2500;
-  const Dataset d = RandomData(n, flags.dims, flags.seed + 15);
-  const Dataset probe = RandomData(256, flags.dims, flags.seed + 16);
-  ml::TuningConfig materialized;
-  materialized.folds = 3;
-  materialized.fold_plan = ml::CvFoldPlan::kMaterialized;
-  ml::TuningConfig streamed = materialized;
-  streamed.fold_plan = ml::CvFoldPlan::kStreamed;
-  result.detail = "gbt n=" + std::to_string(n) +
-                  " d=" + std::to_string(flags.dims) + " folds=3 grid=4";
-
-  std::unique_ptr<ml::Metamodel> ref, opt;
-  result.reference_seconds = TimeBest(flags.reps, [&] {
-    ref = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, flags.seed + 17,
-                         materialized);
-  });
-  result.optimized_seconds = TimeBest(flags.reps, [&] {
-    opt = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, flags.seed + 17,
-                         streamed);
-  });
-  result.identical = ref != nullptr && opt != nullptr;
-  for (int i = 0; i < probe.num_rows() && result.identical; ++i) {
-    result.identical =
-        ref->PredictProb(probe.row(i)) == opt->PredictProb(probe.row(i));
-  }
   return result;
 }
 
@@ -1525,10 +1534,7 @@ int main(int argc, char** argv) {
   };
   maybe("prim_peel", [&] { return BenchPrimPeel(flags, /*paste=*/false); });
   maybe("prim_paste", [&] { return BenchPrimPeel(flags, /*paste=*/true); });
-  maybe("prim_peel_binned",
-        [&] { return BenchPrimBinned(flags, /*threads=*/1); });
-  maybe("prim_peel_binned_parallel",
-        [&] { return BenchPrimBinned(flags, flags.threads); });
+  maybe("prim_peel_parallel", [&] { return BenchPrimParallel(flags); });
   maybe("bumping_tune", [&] { return BenchBumpingTune(flags); });
   maybe("gbt_fit", [&] { return BenchGbtFit(flags, /*threads=*/1); });
   maybe("gbt_fit_parallel", [&] { return BenchGbtFit(flags, flags.threads); });
@@ -1538,6 +1544,8 @@ int main(int argc, char** argv) {
   maybe("rf_fit", [&] { return BenchRfFit(flags); });
   maybe("rf_fit_hist", [&] { return BenchRfHist(flags); });
   maybe("bi_search", [&] { return BenchBi(flags); });
+  maybe("svm_fit", [&] { return BenchSvmFit(flags); });
+  maybe("dsgc_evaluate", [&] { return BenchDsgcEvaluate(flags); });
   maybe("hist_accumulate", [&] { return BenchHistAccumulate(flags); });
   maybe("hist_accumulate_q16", [&] { return BenchHistAccumulateQ16(flags); });
   maybe("binned_build_streamed",
@@ -1559,8 +1567,6 @@ int main(int argc, char** argv) {
   maybe("method_reds_streamed_e2e",
         [&] { return BenchMethodRedsStreamed(flags); });
   maybe("metrics_overhead", [&] { return BenchMetricsOverhead(flags); });
-  maybe("tuning_streamed_folds",
-        [&] { return BenchTuningStreamedFolds(flags); });
   maybe("gbt_leafwise", [&] { return BenchGbtLeafwise(flags); });
   maybe("engine_coalesced_batch",
         [&] { return BenchEngineCoalescedBatch(flags); });

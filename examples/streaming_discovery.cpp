@@ -30,11 +30,10 @@
 // memory-ceiling smoke asserts exactly that.
 //
 // --tuning-smoke N grid-tunes a GBT metamodel on an N-row generated
-// dataset and prints the peak RSS. --data-plan picks the CV fold plan:
-// `streamed` evaluates every grid cell through row views over one shared
-// full-data index (O(one fold) extra residency), `materialized` copies a
-// training matrix + private index per fold -- the tuning-residency CI
-// smoke caps the address space so only the streamed plan fits.
+// dataset and prints the peak RSS. Every grid cell is evaluated through
+// row views over one shared full-data index (O(one fold) extra residency);
+// the tuning-residency CI smoke runs it under an address-space cap and
+// bounds the printed peak RSS.
 //
 // --trace-dir makes every engine job write a Chrome trace-event JSON of
 // its pipeline stages there (open in chrome://tracing or Perfetto);
@@ -106,10 +105,8 @@ int RunRedsSmoke(const std::string& function_name, int n, int l,
   return 0;
 }
 
-// Grid-tuned metamodel fit under a chosen CV fold plan, for the
-// tuning-residency smoke.
-int RunTuningSmoke(const std::string& function_name, int n,
-                   reds::ml::CvFoldPlan plan) {
+// Grid-tuned metamodel fit, for the tuning-residency smoke.
+int RunTuningSmoke(const std::string& function_name, int n) {
   using namespace reds;
   auto function = fun::MakeFunction(function_name);
   if (!function.ok()) {
@@ -121,7 +118,6 @@ int RunTuningSmoke(const std::string& function_name, int n,
   ml::TuningConfig config;
   config.folds = 3;
   config.backend = ml::SplitBackend::kHistogram;
-  config.fold_plan = plan;
   const auto model =
       ml::TuneAndFit(ml::MetamodelKind::kGbt, train, /*seed=*/7, config);
   if (model == nullptr) {
@@ -129,11 +125,9 @@ int RunTuningSmoke(const std::string& function_name, int n,
     return 1;
   }
   std::printf(
-      "tuning-smoke: %s, n=%d x %d inputs, folds=%d, plan=%s\n"
+      "tuning-smoke: %s, n=%d x %d inputs, folds=%d\n"
       "  peak RSS %.1f MB\n",
-      function_name.c_str(), n, train.num_cols(), config.folds,
-      plan == ml::CvFoldPlan::kStreamed ? "streamed" : "materialized",
-      PeakRssMb());
+      function_name.c_str(), n, train.num_cols(), config.folds, PeakRssMb());
   return 0;
 }
 
@@ -206,12 +200,7 @@ int main(int argc, char** argv) {
     return RunRedsSmoke(smoke_function, smoke_n, reds_smoke_l, data_plan);
   }
   if (tuning_smoke_n > 0) {
-    // --data-plan doubles as the fold-plan switch: streamed fold views vs
-    // per-fold matrix copies.
-    return RunTuningSmoke(smoke_function, tuning_smoke_n,
-                          data_plan == MethodDataPlan::kStreamed
-                              ? ml::CvFoldPlan::kStreamed
-                              : ml::CvFoldPlan::kMaterialized);
+    return RunTuningSmoke(smoke_function, tuning_smoke_n);
   }
 
   if (path.empty()) {

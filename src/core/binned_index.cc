@@ -60,6 +60,18 @@ std::vector<int> PackRuns(const std::vector<ValueRun>& runs, int n,
 
 }  // namespace
 
+Status CheckFiniteBlock(const double* x, int rows, int m) {
+  const size_t cells = static_cast<size_t>(rows) * static_cast<size_t>(m);
+  for (size_t i = 0; i < cells; ++i) {
+    if (!std::isfinite(x[i])) {
+      return Status::InvalidArgument(
+          "non-finite value in column " + std::to_string(i % m) +
+          "; streamed quantization needs finite inputs");
+    }
+  }
+  return Status::OK();
+}
+
 // Row chunks small enough to stay in L1 while every column takes its
 // values: a column at a time over the whole block would stride through it
 // once per column. Each column still sees its values in row order, which
@@ -402,6 +414,8 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
         if (!block.ok()) return block.status();
         if (block->empty()) break;
         const int rows = block->num_rows();
+        Status finite = CheckFiniteBlock(block->x.data(), rows, m);
+        if (!finite.ok()) return finite;
         input_hasher.AddRows(block->x.data(), nullptr, rows);
         full_hasher.AddRows(block->x.data(), block->y, rows);
         y.insert(y.end(), block->y, block->y + rows);
@@ -432,6 +446,8 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
           }
           Slot& slot = slots[static_cast<size_t>(filled)];
           const int rows = block->num_rows();
+          Status finite = CheckFiniteBlock(block->x.data(), rows, m);
+          if (!finite.ok()) return finite;
           slot.rows = rows;
           slot.x.assign(block->x.data(),
                         block->x.data() + static_cast<size_t>(rows) * m);
@@ -570,11 +586,12 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
 }
 
 std::shared_ptr<const StreamedBinTotals> StreamedBinTotals::Build(
-    const BinnedIndex& index, const std::vector<double>& y) {
-  assert(static_cast<int>(y.size()) == index.num_rows());
+    const BinnedIndex& index, const double* y) {
+  const size_t n = static_cast<size_t>(index.num_rows());
   auto totals = std::make_shared<StreamedBinTotals>();
   totals->integral_labels = true;
-  for (const double v : y) {
+  for (size_t r = 0; r < n; ++r) {
+    const double v = y[r];
     totals->label_total += v;
     totals->integral_labels =
         totals->integral_labels && (v == 0.0 || v == 1.0);
@@ -594,7 +611,7 @@ std::shared_ptr<const StreamedBinTotals> StreamedBinTotals::Build(
     }
     if (!totals->integral_labels) continue;
     const ColumnView<uint8_t> codes = index.codes(j);
-    for (size_t r = 0; r < y.size(); ++r) {
+    for (size_t r = 0; r < n; ++r) {
       cells[codes[r]] += static_cast<int64_t>(y[r]) << kPosShift;
     }
   }

@@ -139,6 +139,12 @@ struct ColumnSketch {
   static Result<ColumnSketch> DeserializeFrom(util::ByteReader* in);
 };
 
+/// InvalidArgument naming the first column of a row-major `rows` x `m`
+/// block that holds a NaN or an infinity, OK otherwise. Quantile sketches
+/// order values and NaN has no order, so the sketch pass of BuildStreamed
+/// and of a shard worker checks every block before sketching it.
+Status CheckFiniteBlock(const double* x, int rows, int m);
+
 /// Adds a row-major block of `rows` x `m` values to the per-column
 /// summaries `cols` (one per column), each column in row order. The sketch
 /// pass of BuildStreamed and of a shard worker.
@@ -249,7 +255,7 @@ struct StreamedBinTotals {
   /// is exactly 0 or 1 (integral_labels); fractional labels leave the high
   /// halves zero and their peels sum y in order instead.
   static std::shared_ptr<const StreamedBinTotals> Build(
-      const BinnedIndex& index, const std::vector<double>& y);
+      const BinnedIndex& index, const double* y);
 
   std::vector<int64_t> cells;  // column j's bins at [offset[j], offset[j+1])
   std::vector<int> offset;     // size num_cols + 1

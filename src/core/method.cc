@@ -366,7 +366,7 @@ MethodOutput ExecuteMethodPlan(const MethodPlan& plan, const Dataset& train,
       // bin totals once, here, rather than once per peel.
       auto data =
           std::make_shared<StreamedDataset>(std::move(streamed).value());
-      data->totals = StreamedBinTotals::Build(*data->index, data->y);
+      data->totals = StreamedBinTotals::Build(*data->index, data->y.data());
       return std::shared_ptr<const StreamedDataset>(std::move(data));
     };
     // The finished product of the stream -- quantized index + O(L) labels

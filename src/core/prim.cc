@@ -1,11 +1,14 @@
-// Sorted-index PRIM. Peel candidates are rank selections on per-column
-// sorted permutations of the in-box points, maintained incrementally across
-// peels (apply = drop a prefix/suffix of the peeled column, compact the
-// others through a bitmask); the pasting phase enumerates "outside through
-// one bound" points from the full-data permutations guarded by a
-// per-dimension violation-count array. Produces the same box sequences as
-// the original full-rescan implementation, preserved in prim_reference.cc
-// and asserted equivalent in tests/prim_equivalence_test.cc.
+// PRIM peeling (prim.h). One peel state serves both data plans. It keeps
+// the in-box rows of every (column, bin) as packed StreamedBinTotals cells,
+// finds each candidate's boundary bin in O(bins), and applies a peel by
+// walking only the removed stretch of the peeled column's code-ordered
+// permutation. On the materialized plan it also reads the ColumnIndex value
+// columns and refines a cut inside a bin that holds more than one value,
+// which makes its boxes the exact kernel's bit for bit (RunPrimReference,
+// tests/prim_equivalence_test.cc); on the streamed plan it cuts whole bins
+// (RunPrimStreamedReference, tests/streamed_prim_test.cc). The pasting
+// phase enumerates "outside through one bound" points from the full-data
+// permutations guarded by a per-dimension violation-count array.
 #include "core/prim.h"
 
 #include <algorithm>
@@ -24,622 +27,47 @@ namespace reds {
 
 namespace {
 
-// Per-dimension sorted views of the in-box training points. sorted_[j]
-// holds exactly the rows currently inside the box, ascending by column j
-// (ties by row id, inherited from the ColumnIndex permutation).
+// The peel state. Every column j has a permutation sorted_[j] of the rows,
+// ascending by bin code; inside a bin the rows run by (value, row id) on the
+// materialized plan (ColumnIndex::sorted_rows) and by row id on the streamed
+// one (BinnedIndex::sorted_rows). The in-box aggregates are the dataset's
+// StreamedBinTotals cells, copied and then kept current, so a peel pays
+// only for the rows it removes: Apply subtracts each removed row's packed
+// (1 row, y positives) delta from every other column's cell, a column at a
+// time.
+//
+// Candidates treat a bin as one value block unless `values_` is set and the
+// boundary bin holds more than one value. The cut is then refined inside
+// that bin from the value column -- the exact order statistic, tie fallback
+// and removed sums -- and the peel removes `part` of the bin's in-box rows,
+// those beyond the bound. With one value per bin, whole-bin cuts are exact
+// too; with wider streamed bins every cut is within the binning's rank
+// error of the exact kernel's.
+//
+// Removed-mass sums: integral {0,1} labels read exact integers from the
+// cells' positive halves (plus a masked sum over the refined part);
+// fractional labels are summed in permutation order over the removed rows,
+// i.e. ascending by (value, row id) on the materialized plan and by
+// (bin, row id) on the streamed one -- the orders of the golden references.
 class PeelState {
  public:
-  PeelState(const Dataset& train, const ColumnIndex& index)
-      : train_(train),
-        index_(index),
-        in_box_(static_cast<size_t>(train.num_rows()), 1) {
-    sorted_.reserve(static_cast<size_t>(train.num_cols()));
-    for (int j = 0; j < train.num_cols(); ++j) {
-      sorted_.push_back(index.sorted_rows(j));
-    }
-  }
-
-  // Builds the low- or high-side candidate peel for one dimension, cutting
-  // off roughly an alpha share of the in-box train points. Returns dim = -1
-  // when no valid cut exists (e.g. all values equal). Semantics match the
-  // reference MakeCandidate: the bound is the (k+1)-th order statistic,
-  // points equal to the bound stay inside, and a cut swallowed by ties moves
-  // past the tied block.
-  Peel MakeCandidate(int dim, bool low_side, double alpha,
-                     const BoxStats& in_stats) const {
-    Peel peel;
-    const std::vector<int>& s = sorted_[static_cast<size_t>(dim)];
-    const std::vector<double>& col = index_.column(dim);
-    const int n = static_cast<int>(s.size());
-    const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
-    if (k >= n) return peel;  // would empty the box
-
-    double bound;
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    if (low_side) {
-      bound = col[static_cast<size_t>(s[static_cast<size_t>(k)])];
-      // Points removed: the prefix with value < bound.
-      int p = LowerBoundRank(s, col, bound);
-      if (p == 0) {
-        // Ties swallowed the whole cut: move past the tied block.
-        const int q = UpperBoundRank(s, col, bound);
-        if (q >= n) return peel;  // dimension is constant in box
-        bound = col[static_cast<size_t>(s[static_cast<size_t>(q)])];
-        p = q;  // no values lie strictly between the old and new bound
-      }
-      removed_n = p;
-      for (int i = 0; i < p; ++i) {
-        removed_pos += train_.y(s[static_cast<size_t>(i)]);
-      }
-    } else {
-      bound = col[static_cast<size_t>(s[static_cast<size_t>(n - 1 - k)])];
-      // Points removed: the suffix with value > bound.
-      int q = UpperBoundRank(s, col, bound);
-      if (q >= n) {
-        const int p = LowerBoundRank(s, col, bound);
-        if (p == 0) return peel;  // dimension is constant in box
-        bound = col[static_cast<size_t>(s[static_cast<size_t>(p - 1)])];
-        q = p;  // suffix > new bound starts where values >= old bound began
-      }
-      removed_n = n - q;
-      for (int i = q; i < n; ++i) {
-        removed_pos += train_.y(s[static_cast<size_t>(i)]);
-      }
-    }
-    if (removed_n >= n) return peel;  // would empty the box
-
-    peel.dim = dim;
-    peel.low_side = low_side;
-    peel.bound = bound;
-    peel.removed_n = removed_n;
-    peel.removed_pos = removed_pos;
-    peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
-    return peel;
-  }
-
-  // Drops the rows violating the peel, updating `stats`. The peeled
-  // dimension loses a prefix/suffix; every other dimension is compacted
-  // through the bitmask, so all views stay exact in-box row sets.
-  void Apply(const Peel& peel, BoxStats* stats) {
-    std::vector<int>& s = sorted_[static_cast<size_t>(peel.dim)];
-    const std::vector<double>& col = index_.column(peel.dim);
-    const int n = static_cast<int>(s.size());
-    if (peel.low_side) {
-      const int p = LowerBoundRank(s, col, peel.bound);
-      for (int i = 0; i < p; ++i) {
-        in_box_[static_cast<size_t>(s[static_cast<size_t>(i)])] = 0;
-      }
-      s.erase(s.begin(), s.begin() + p);
-    } else {
-      const int q = UpperBoundRank(s, col, peel.bound);
-      for (int i = q; i < n; ++i) {
-        in_box_[static_cast<size_t>(s[static_cast<size_t>(i)])] = 0;
-      }
-      s.resize(static_cast<size_t>(q));
-    }
-    stats->n -= peel.removed_n;
-    stats->n_pos -= peel.removed_pos;
-    for (int j = 0; j < static_cast<int>(sorted_.size()); ++j) {
-      if (j == peel.dim) continue;
-      Compact(&sorted_[static_cast<size_t>(j)]);
-    }
-  }
-
- private:
-  void Compact(std::vector<int>* s) const {
-    size_t kept = 0;
-    for (size_t i = 0; i < s->size(); ++i) {
-      const int r = (*s)[i];
-      if (in_box_[static_cast<size_t>(r)]) (*s)[kept++] = r;
-    }
-    s->resize(kept);
-  }
-
-  const Dataset& train_;
-  const ColumnIndex& index_;
-  std::vector<std::vector<int>> sorted_;  // [dim] -> in-box rows by value
-  std::vector<uint8_t> in_box_;           // by row id
-};
-
-// Binned peel state: the quantized counterpart of PeelState. No per-dim
-// sorted in-box views are maintained; instead a per-dimension histogram of
-// in-box counts per BinnedIndex bin locates each peel's boundary bin in
-// O(bins), and short scans of the full-data sorted permutation inside that
-// bin (filtered through the in-box bitmask) refine the exact bound, counts,
-// and removed-mass sums -- in the same value-then-row-id order as the
-// sorted kernel, so every Peel it produces is bit-identical to PeelState's.
-// Applying a peel walks only the window of newly removed rows and
-// decrements M histogram counters per row: O(removed x M) against the
-// sorted kernel's O(N x M) view compaction.
-class BinnedPeelState {
- public:
-  BinnedPeelState(const Dataset& train, const ColumnIndex& index,
-                  const BinnedIndex& binned)
-      : train_(train),
-        index_(index),
-        binned_(binned),
+  PeelState(const BinnedIndex& binned, std::vector<const int*> sorted,
+            const double* y, const StreamedBinTotals& totals,
+            const ColumnIndex* values)
+      : binned_(binned),
+        sorted_(std::move(sorted)),
+        y_(y),
+        values_(values),
         // +3 padding bytes: the dispatched masked kernels gather mask bytes
         // with 32-bit loads (see util/simd.h), so the bitmask must stay
         // readable 3 bytes past the last row. Padding rows are never
         // indexed; their value is irrelevant.
-        in_box_(static_cast<size_t>(train.num_rows()) + 3, 1),
-        n_(train.num_rows()) {
-    const int m = train.num_cols();
-    const int n = train.num_rows();
-    lo_rank_.assign(static_cast<size_t>(m), 0);
-    hi_rank_.assign(static_cast<size_t>(m), n);
-    // Hard {0,1} labels make every y sum integer-exact regardless of
-    // accumulation order, so removed-mass sums may come straight from the
-    // per-bin aggregates (O(bins) per candidate). Fractional labels fall
-    // back to ordered scans that replicate the sorted kernel's exact
-    // floating-point accumulation sequence.
-    integral_labels_ = true;
-    for (int r = 0; r < n && integral_labels_; ++r) {
-      const double y = train.y(r);
-      integral_labels_ = y == 0.0 || y == 1.0;
-    }
-    bin_count_.resize(static_cast<size_t>(m));
-    bin_pos_.resize(static_cast<size_t>(m));
-    for (int j = 0; j < m; ++j) {
-      std::vector<int>& counts = bin_count_[static_cast<size_t>(j)];
-      std::vector<double>& pos = bin_pos_[static_cast<size_t>(j)];
-      counts.resize(static_cast<size_t>(binned.num_bins(j)));
-      pos.assign(static_cast<size_t>(binned.num_bins(j)), 0.0);
-      const std::vector<int>& sorted = index.sorted_rows(j);
-      for (int b = 0; b < binned.num_bins(j); ++b) {
-        const int begin = binned.bin_begin_rank(j, b);
-        const int len = binned.bin_begin_rank(j, b + 1) - begin;
-        counts[static_cast<size_t>(b)] = len;
-        if (integral_labels_) {
-          // Integer-valued sums are exact in any association, so the
-          // dispatched gather-sum (which may reorder) is legal here.
-          pos[static_cast<size_t>(b)] =
-              util::GatherSum(train.y_data(), sorted.data() + begin, len);
-        } else {
-          for (int rank = begin; rank < begin + len; ++rank) {
-            pos[static_cast<size_t>(b)] +=
-                train.y(sorted[static_cast<size_t>(rank)]);
-          }
-        }
-      }
-    }
-  }
-
-  // Mirrors PeelState::MakeCandidate decision for decision: the bound is
-  // the same order statistic, tie-swallowed cuts advance past tied blocks
-  // the same way, and removed sums accumulate in the same order.
-  Peel MakeCandidate(int dim, bool low_side, double alpha,
-                     const BoxStats& in_stats) const {
-    Peel peel;
-    const int n = n_;
-    const int k = std::max(1, static_cast<int>(std::floor(alpha * n)));
-    if (k >= n) return peel;  // would empty the box
-
-    double bound;
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    if (low_side) {
-      bound = ValueAtInBoxRank(dim, k);
-      int p = CountLess(dim, bound);
-      if (p == 0) {
-        // Ties swallowed the whole cut: move past the tied block.
-        const int q = CountLessEq(dim, bound);
-        if (q >= n) return peel;  // dimension is constant in box
-        bound = ValueAtInBoxRank(dim, q);
-        p = q;
-      }
-      removed_n = p;
-      removed_pos =
-          integral_labels_ ? PrefixSumFast(dim, p) : SumYFirst(dim, p);
-    } else {
-      // The high side walks the bins down from the top, so its cost tracks
-      // the k rows it cuts, not the n - k rows it keeps.
-      bound = ValueAtInBoxTopRank(dim, k);
-      int q = n - CountGreater(dim, bound);
-      if (q >= n) {
-        const int p = CountLess(dim, bound);
-        if (p == 0) return peel;  // dimension is constant in box
-        bound = ValueAtInBoxRank(dim, p - 1);
-        q = p;
-      }
-      removed_n = n - q;
-      // Integral labels: the suffix sum is integer-valued, so summing it
-      // from the top equals the in-box total minus the prefix sum.
-      removed_pos = integral_labels_ ? SuffixSumFast(dim, n - q)
-                                     : SumYTail(dim, q);
-    }
-    if (removed_n >= n) return peel;  // would empty the box
-
-    peel.dim = dim;
-    peel.low_side = low_side;
-    peel.bound = bound;
-    peel.removed_n = removed_n;
-    peel.removed_pos = removed_pos;
-    peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
-    return peel;
-  }
-
-  // Drops the rows the peel cuts off: only the removed window of the peeled
-  // dimension's permutation is walked, and each removed row decrements one
-  // histogram counter per dimension.
-  void Apply(const Peel& peel, BoxStats* stats) {
-    const std::vector<int>& sorted = index_.sorted_rows(peel.dim);
-    const std::vector<double>& col = index_.column(peel.dim);
-    if (peel.low_side) {
-      const int new_lo = reds::LowerBoundRank(sorted, col, peel.bound);
-      for (int pos = lo_rank_[static_cast<size_t>(peel.dim)]; pos < new_lo;
-           ++pos) {
-        Remove(sorted[static_cast<size_t>(pos)]);
-      }
-      lo_rank_[static_cast<size_t>(peel.dim)] = new_lo;
-    } else {
-      const int new_hi = reds::UpperBoundRank(sorted, col, peel.bound);
-      for (int pos = new_hi; pos < hi_rank_[static_cast<size_t>(peel.dim)];
-           ++pos) {
-        Remove(sorted[static_cast<size_t>(pos)]);
-      }
-      hi_rank_[static_cast<size_t>(peel.dim)] = new_hi;
-    }
-    stats->n -= peel.removed_n;
-    stats->n_pos -= peel.removed_pos;
-    // Trim every dimension's window past leading/trailing holes so later
-    // scans start at a live row; amortized O(N) per dimension over the run.
-    for (size_t j = 0; j < bin_count_.size(); ++j) {
-      const std::vector<int>& s = index_.sorted_rows(static_cast<int>(j));
-      int& lo = lo_rank_[j];
-      int& hi = hi_rank_[j];
-      while (lo < hi && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(lo)])]) {
-        ++lo;
-      }
-      while (hi > lo && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(hi - 1)])]) {
-        --hi;
-      }
-    }
-  }
-
- private:
-  // Every in-box row of `dim` lies in its window [lo_rank_, hi_rank_),
-  // whose ends are live rows after each Apply's trim, so bins below the
-  // code of the first window row and above the code of the last hold no
-  // in-box row: bottom-up walks start at FirstBin, top-down ones at
-  // LastBin, with the same result as a walk over every bin.
-  size_t FirstBin(int dim) const {
-    const int r = index_.sorted_rows(dim)[static_cast<size_t>(
-        lo_rank_[static_cast<size_t>(dim)])];
-    return static_cast<size_t>(binned_.code(dim, r));
-  }
-  int LastBin(int dim) const {
-    const int r = index_.sorted_rows(dim)[static_cast<size_t>(
-        hi_rank_[static_cast<size_t>(dim)] - 1)];
-    return binned_.code(dim, r);
-  }
-
-  void Remove(int r) {
-    if (!in_box_[static_cast<size_t>(r)]) return;
-    in_box_[static_cast<size_t>(r)] = 0;
-    --n_;
-    const double y = train_.y(r);
-    for (size_t j = 0; j < bin_count_.size(); ++j) {
-      const int b = binned_.code(static_cast<int>(j), r);
-      --bin_count_[j][static_cast<size_t>(b)];
-      bin_pos_[j][static_cast<size_t>(b)] -= y;
-    }
-  }
-
-  // Sum of y over the first `count` in-box rows of `dim` in value order,
-  // assembled from whole-bin aggregates plus an exact scan of the boundary
-  // bin. Only valid for integral labels, where the result equals the
-  // sequential prefix sum bit-for-bit.
-  double PrefixSumFast(int dim, int count) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums = bin_pos_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    int cum = 0;
-    double sum = 0.0;
-    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
-      if (cum + counts[b] <= count) {
-        cum += counts[b];
-        sum += pos_sums[b];
-        if (cum == count) return sum;
-        continue;
-      }
-      const int need = count - cum;
-      const int begin =
-          std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                   lo_rank_[static_cast<size_t>(dim)]);
-      const int end =
-          std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                   hi_rank_[static_cast<size_t>(dim)]);
-      // need < counts[b], so the boundary bin's segment holds every row the
-      // masked prefix walk takes; integral labels make the dispatched sum
-      // exact (util/simd.h).
-      sum += util::MaskedPrefixSum(train_.y_data(), in_box_.data(),
-                                   sorted.data() + begin, end - begin, need);
-      return sum;
-    }
-    return sum;
-  }
-
-  // Sum of y over the last `count` in-box rows of `dim` in value order:
-  // whole-bin aggregates from the top bin down, then the boundary bin's
-  // aggregate minus a masked prefix sum of its part that stays. Only valid
-  // for integral labels, where every association is exact.
-  double SuffixSumFast(int dim, int count) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums = bin_pos_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    int cum = 0;
-    double sum = 0.0;
-    for (int b = LastBin(dim); b >= 0; --b) {
-      const int c = counts[static_cast<size_t>(b)];
-      if (cum + c <= count) {
-        cum += c;
-        sum += pos_sums[static_cast<size_t>(b)];
-        if (cum == count) return sum;
-        continue;
-      }
-      const int begin = std::max(binned_.bin_begin_rank(dim, b),
-                                 lo_rank_[static_cast<size_t>(dim)]);
-      const int end = std::min(binned_.bin_begin_rank(dim, b + 1),
-                               hi_rank_[static_cast<size_t>(dim)]);
-      const int stay = c - (count - cum);
-      sum += pos_sums[static_cast<size_t>(b)] -
-             util::MaskedPrefixSum(train_.y_data(), in_box_.data(),
-                                   sorted.data() + begin, end - begin, stay);
-      return sum;
-    }
-    return sum;
-  }
-
-  // Value of the rank-th in-box row of `dim` counted from the top (rank 0 is
-  // the largest; equals ValueAtInBoxRank(dim, n - 1 - rank)): suffix counts
-  // over the bin histogram pick the bin, then a backward scan of its
-  // permutation segment finds the row.
-  double ValueAtInBoxTopRank(int dim, int rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (int b = LastBin(dim); b >= 0; --b) {
-      const int c = counts[static_cast<size_t>(b)];
-      if (cum + c <= rank) {
-        cum += c;
-        continue;
-      }
-      int need = rank - cum;
-      const int begin = std::max(binned_.bin_begin_rank(dim, b),
-                                 lo_rank_[static_cast<size_t>(dim)]);
-      const int end = std::min(binned_.bin_begin_rank(dim, b + 1),
-                               hi_rank_[static_cast<size_t>(dim)]);
-      for (int pos = end - 1; pos >= begin; --pos) {
-        const int r = sorted[static_cast<size_t>(pos)];
-        if (!in_box_[static_cast<size_t>(r)]) continue;
-        if (need == 0) return col[static_cast<size_t>(r)];
-        --need;
-      }
-      break;
-    }
-    assert(false && "in-box rank out of range");
-    return 0.0;
-  }
-
-  // Value of the rank-th in-box row of `dim` (ascending by value, ties by
-  // row id): prefix counts over the bin histogram pick the bin, then a scan
-  // of its permutation segment finds the row.
-  double ValueAtInBoxRank(int dim, int rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
-      const int c = counts[b];
-      if (cum + c <= rank) {
-        cum += c;
-        continue;
-      }
-      int need = rank - cum;
-      const int begin =
-          std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                   lo_rank_[static_cast<size_t>(dim)]);
-      const int end =
-          std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                   hi_rank_[static_cast<size_t>(dim)]);
-      for (int pos = begin; pos < end; ++pos) {
-        const int r = sorted[static_cast<size_t>(pos)];
-        if (!in_box_[static_cast<size_t>(r)]) continue;
-        if (need == 0) return col[static_cast<size_t>(r)];
-        --need;
-      }
-      break;
-    }
-    assert(false && "in-box rank out of range");
-    return 0.0;
-  }
-
-  // Number of in-box rows of `dim` with value < v (v is a data value):
-  // whole bins below v come from the histogram, the boundary bin from an
-  // exact scan.
-  int CountLess(int dim, double v) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
-      if (binned_.bin_last(dim, static_cast<int>(b)) >= v) {
-        if (binned_.bin_first(dim, static_cast<int>(b)) >= v) return cum;
-        const int begin =
-            std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                     lo_rank_[static_cast<size_t>(dim)]);
-        const int end =
-            std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                     hi_rank_[static_cast<size_t>(dim)]);
-        // The segment is value-sorted, so a full-segment masked count
-        // equals the early-break walk; dispatched (util/simd.h).
-        cum += util::MaskedCountBelow(col.data(), in_box_.data(),
-                                      sorted.data() + begin, end - begin, v,
-                                      /*strict=*/true);
-        return cum;
-      }
-      cum += counts[b];
-    }
-    return cum;
-  }
-
-  // Number of in-box rows of `dim` with value <= v.
-  int CountLessEq(int dim, double v) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
-      if (binned_.bin_last(dim, static_cast<int>(b)) >= v) {
-        if (binned_.bin_first(dim, static_cast<int>(b)) > v) return cum;
-        const int begin =
-            std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                     lo_rank_[static_cast<size_t>(dim)]);
-        const int end =
-            std::min(binned_.bin_begin_rank(dim, static_cast<int>(b) + 1),
-                     hi_rank_[static_cast<size_t>(dim)]);
-        // Value-sorted segment: full-segment masked count == early-break
-        // walk, as in CountLess.
-        cum += util::MaskedCountBelow(col.data(), in_box_.data(),
-                                      sorted.data() + begin, end - begin, v,
-                                      /*strict=*/false);
-        return cum;
-      }
-      cum += counts[b];
-    }
-    return cum;
-  }
-
-  // Number of in-box rows of `dim` with value > v (v is a data value),
-  // walking down from the top bin: whole bins above v from the histogram,
-  // the boundary bin as its count minus an exact masked count of <= v.
-  int CountGreater(int dim, double v) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    const std::vector<double>& col = index_.column(dim);
-    int cum = 0;
-    for (int b = LastBin(dim); b >= 0; --b) {
-      if (binned_.bin_first(dim, b) <= v) {
-        if (binned_.bin_last(dim, b) <= v) return cum;
-        const int begin = std::max(binned_.bin_begin_rank(dim, b),
-                                   lo_rank_[static_cast<size_t>(dim)]);
-        const int end = std::min(binned_.bin_begin_rank(dim, b + 1),
-                                 hi_rank_[static_cast<size_t>(dim)]);
-        cum += counts[static_cast<size_t>(b)] -
-               util::MaskedCountBelow(col.data(), in_box_.data(),
-                                      sorted.data() + begin, end - begin, v,
-                                      /*strict=*/false);
-        return cum;
-      }
-      cum += counts[static_cast<size_t>(b)];
-    }
-    return cum;
-  }
-
-  // Sum of y over the first `count` in-box rows of `dim` in value order --
-  // the exact accumulation order of the sorted kernel's prefix sums.
-  double SumYFirst(int dim, int count) const {
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    double sum = 0.0;
-    int seen = 0;
-    for (int pos = lo_rank_[static_cast<size_t>(dim)]; seen < count; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
-      if (!in_box_[static_cast<size_t>(r)]) continue;
-      sum += train_.y(r);
-      ++seen;
-    }
-    return sum;
-  }
-
-  // Sum of y over in-box rows of `dim` from in-box rank `from_rank` to the
-  // top, accumulated ascending like the sorted kernel's suffix sums.
-  double SumYTail(int dim, int from_rank) const {
-    const std::vector<int>& counts = bin_count_[static_cast<size_t>(dim)];
-    const std::vector<int>& sorted = index_.sorted_rows(dim);
-    // Locate the permutation position of in-box rank from_rank, then sum
-    // ascending through the remaining window.
-    int cum = 0;
-    int start = hi_rank_[static_cast<size_t>(dim)];
-    for (size_t b = FirstBin(dim); b < counts.size(); ++b) {
-      const int c = counts[b];
-      if (cum + c <= from_rank) {
-        cum += c;
-        continue;
-      }
-      int need = from_rank - cum;
-      const int begin =
-          std::max(binned_.bin_begin_rank(dim, static_cast<int>(b)),
-                   lo_rank_[static_cast<size_t>(dim)]);
-      for (int pos = begin;; ++pos) {
-        const int r = sorted[static_cast<size_t>(pos)];
-        if (!in_box_[static_cast<size_t>(r)]) continue;
-        if (need == 0) {
-          start = pos;
-          break;
-        }
-        --need;
-      }
-      break;
-    }
-    double sum = 0.0;
-    for (int pos = start; pos < hi_rank_[static_cast<size_t>(dim)]; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
-      if (in_box_[static_cast<size_t>(r)]) sum += train_.y(r);
-    }
-    return sum;
-  }
-
-  const Dataset& train_;
-  const ColumnIndex& index_;
-  const BinnedIndex& binned_;
-  std::vector<uint8_t> in_box_;            // by row id
-  int n_ = 0;                              // rows currently in box
-  bool integral_labels_ = false;           // every y is exactly 0 or 1
-  std::vector<int> lo_rank_;               // [dim] first in-window perm rank
-  std::vector<int> hi_rank_;               // [dim] one past last window rank
-  std::vector<std::vector<int>> bin_count_;   // [dim][bin] in-box rows
-  std::vector<std::vector<double>> bin_pos_;  // [dim][bin] in-box y sum
-};
-
-// Streamed peel state: PRIM on the quantized plane alone. The dataset
-// exists only as BinnedIndex codes, the index's own code-ordered
-// permutation, and the label vector -- no raw doubles, no ColumnIndex.
-// Candidates treat bins as atomic value blocks: the boundary bin replaces
-// the exact order statistic and bounds snap to bin_first/bin_last. With
-// one distinct value per bin this reproduces PeelState's decisions exactly
-// (same candidate counts, same tie handling, same removed sums); with
-// wider bins every cut is within the binning's rank error of the exact
-// kernel's.
-//
-// The in-box aggregates are StreamedBinTotals cells, copied from the
-// dataset's prebuilt totals, so a peel pays only for the rows it removes:
-// Apply walks the removed window of the peeled dimension's permutation
-// once and subtracts each removed row's packed (1 row, y positives) delta
-// from every other column's cell, a column at a time.
-class CodePeelState {
- public:
-  CodePeelState(const BinnedIndex& binned, const std::vector<double>& y,
-                const StreamedBinTotals& totals)
-      : binned_(binned),
-        y_(y),
-        in_box_(static_cast<size_t>(binned.num_rows()), 1),
+        in_box_(static_cast<size_t>(binned.num_rows()) + 3, 1),
         n_(binned.num_rows()),
-        // Integral {0,1} labels make every removed-mass sum an exact
-        // integer, read from the cells' positive halves; fractional labels
-        // fall back to ordered permutation scans, which accumulate in
-        // (bin, row id) order -- the sorted kernel's exact order when bins
-        // are single values.
         integral_labels_(totals.integral_labels),
         cells_(totals.cells),
         offset_(totals.offset) {
-    assert(binned.has_sorted_rows());
+    assert(static_cast<int>(sorted_.size()) == binned.num_cols());
     assert(static_cast<int>(offset_.size()) == binned.num_cols() + 1);
     const int m = binned.num_cols();
     const int n = binned.num_rows();
@@ -650,6 +78,11 @@ class CodePeelState {
     removed_delta_.resize(block);
   }
 
+  // Builds the low- or high-side candidate peel for one dimension, cutting
+  // off roughly an alpha share of the in-box rows. Returns dim = -1 when no
+  // valid cut exists (e.g. all values equal). The bound is the (k+1)-th
+  // order statistic counted from the cut side, rows equal to it stay
+  // inside, and a cut swallowed by ties moves past the tied block.
   Peel MakeCandidate(int dim, bool low_side, double alpha,
                      const BoxStats& in_stats) const {
     Peel peel;
@@ -658,49 +91,56 @@ class CodePeelState {
     if (k >= n) return peel;  // would empty the box
 
     const int64_t* cells = Cells(dim);
-    const int bins = binned_.num_bins(dim);
-    // One walk per candidate. `cut` accumulates the packed cells of the bins
-    // the peel removes; its low half is their row count, its high half
-    // their positives.
+    const int step = low_side ? 1 : -1;
+    // Whole bins from the cut side until the one holding rank k. `cut`
+    // accumulates the packed cells of the bins the peel removes whole; its
+    // low half is their row count, its high half their positives.
     int64_t cut = 0;
-    int b;
-    if (low_side) {
-      // Bins from the bottom until the one holding in-box rank k.
-      b = 0;
-      while (StreamedBinTotals::Rows(cut + cells[b]) <= k) cut += cells[b++];
-      if (StreamedBinTotals::Rows(cut) == 0) {
-        // The cut was swallowed by the boundary bin: move past it, exactly
-        // like the exact kernel moves past a tied block.
-        cut = cells[b++];
-        if (StreamedBinTotals::Rows(cut) >= n) return peel;  // constant
-        while (StreamedBinTotals::Rows(cells[b]) == 0) ++b;
-      }
-      peel.bound = binned_.bin_first(dim, b);
-    } else {
-      // Bins from the top until the one holding rank k counted from the
-      // top, i.e. ascending rank n - 1 - k.
-      b = bins - 1;
-      while (StreamedBinTotals::Rows(cut + cells[b]) <= k) cut += cells[b--];
-      if (StreamedBinTotals::Rows(cut) == 0) {
-        // Nothing above the boundary bin: move below it.
-        cut = cells[b--];
-        if (StreamedBinTotals::Rows(cut) >= n) return peel;  // constant
-        while (StreamedBinTotals::Rows(cells[b]) == 0) --b;
-      }
-      peel.bound = binned_.bin_last(dim, b);
+    int b = low_side ? FirstBin(dim) : LastBin(dim);
+    while (Rows(cut + cells[b]) <= k) {
+      cut += cells[b];
+      b += step;
     }
-    const int removed = StreamedBinTotals::Rows(cut);
+    // `part`: in-box rows of bin b beyond the bound, removed as well.
+    int part = 0;
+    double bound;
+    const bool refine = Refines(dim, b);
+    if (refine) {
+      bound = InBinValue(dim, b, k - Rows(cut), low_side);
+      part = InBinBeyond(dim, b, bound, low_side, /*inclusive=*/false);
+    } else {
+      bound = Edge(dim, b, low_side);
+    }
+    if (Rows(cut) + part == 0) {
+      // Ties swallowed the whole cut: move past the tied block.
+      part = refine ? InBinBeyond(dim, b, bound, low_side, /*inclusive=*/true)
+                    : Rows(cells[b]);
+      if (part < Rows(cells[b])) {
+        bound = InBinValue(dim, b, part, low_side);
+      } else {
+        cut = cells[b];
+        if (Rows(cut) >= n) return peel;  // dimension is constant in box
+        part = 0;
+        do {
+          b += step;
+        } while (Rows(cells[b]) == 0);
+        bound = Refines(dim, b) ? InBinValue(dim, b, 0, low_side)
+                                : Edge(dim, b, low_side);
+      }
+    }
+    const int removed = Rows(cut) + part;
     if (removed >= n) return peel;  // would empty the box
     double removed_pos;
     if (integral_labels_) {
       removed_pos = static_cast<double>(StreamedBinTotals::Positives(cut));
+      if (part > 0) removed_pos += PartPositives(dim, b, part, low_side);
     } else {
-      removed_pos = low_side ? SumYFirst(dim, removed)
-                             : SumYTail(dim, n - removed);
+      removed_pos = low_side ? SumYFirst(dim, removed) : SumYTail(dim, b, part);
     }
 
     peel.dim = dim;
     peel.low_side = low_side;
+    peel.bound = bound;
     peel.bin = b;
     peel.removed_n = removed;
     peel.removed_pos = removed_pos;
@@ -709,46 +149,55 @@ class CodePeelState {
     return peel;
   }
 
+  // Drops the rows the peel cuts off: the whole bins beyond its boundary
+  // bin, whose cells in the peeled column are zeroed outright, and the
+  // boundary bin's rows beyond the bound, which a refined cut removes too.
   void Apply(const Peel& peel, BoxStats* stats) {
-    const ColumnView<int> sorted = binned_.sorted_rows(peel.dim);
     const size_t dim = static_cast<size_t>(peel.dim);
-    int begin, end;
-    if (peel.low_side) {
-      begin = lo_rank_[dim];
-      end = binned_.bin_begin_rank(peel.dim, peel.bin);
-      lo_rank_[dim] = end;
-    } else {
-      begin = binned_.bin_begin_rank(peel.dim, peel.bin + 1);
-      end = hi_rank_[dim];
-      hi_rank_[dim] = begin;
-    }
-    for (int start = begin; start < end; start += kApplyBlock) {
-      RemoveBlock(sorted.data() + start, std::min(kApplyBlock, end - start),
-                  peel.dim);
-    }
-    // Every row of the peeled dimension's cut bins is gone now, including
-    // those other peels removed earlier.
+    const int* sorted = sorted_[dim];
+    const int bin_begin = binned_.bin_begin_rank(peel.dim, peel.bin);
+    const int bin_end = binned_.bin_begin_rank(peel.dim, peel.bin + 1);
     int64_t* cells = Cells(peel.dim);
     if (peel.low_side) {
+      int end = bin_begin;
+      if (values_ != nullptr) {
+        const double* col = values_->column(peel.dim).data();
+        end = static_cast<int>(
+            std::partition_point(
+                sorted + bin_begin, sorted + bin_end,
+                [&](int r) { return col[r] < peel.bound; }) -
+            sorted);
+      }
+      RemoveRows(sorted, lo_rank_[dim], bin_begin, peel.dim);
+      RemoveRows(sorted, std::max(lo_rank_[dim], bin_begin), end, -1);
       std::fill(cells, cells + peel.bin, int64_t{0});
+      lo_rank_[dim] = end;
     } else {
+      int begin = bin_end;
+      if (values_ != nullptr) {
+        const double* col = values_->column(peel.dim).data();
+        begin = static_cast<int>(
+            std::partition_point(
+                sorted + bin_begin, sorted + bin_end,
+                [&](int r) { return col[r] <= peel.bound; }) -
+            sorted);
+      }
+      RemoveRows(sorted, bin_end, hi_rank_[dim], peel.dim);
+      RemoveRows(sorted, begin, std::min(hi_rank_[dim], bin_end), -1);
       std::fill(cells + peel.bin + 1, cells + binned_.num_bins(peel.dim),
                 int64_t{0});
+      hi_rank_[dim] = begin;
     }
     stats->n -= peel.removed_n;
     stats->n_pos -= peel.removed_pos;
+    // Trim every dimension's window past leading/trailing holes so walks
+    // start at a live row; amortized O(N) per dimension over the run.
     for (size_t j = 0; j < lo_rank_.size(); ++j) {
-      const ColumnView<int> s = binned_.sorted_rows(static_cast<int>(j));
+      const int* s = sorted_[j];
       int& lo = lo_rank_[j];
       int& hi = hi_rank_[j];
-      while (lo < hi && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(lo)])]) {
-        ++lo;
-      }
-      while (hi > lo && !in_box_[static_cast<size_t>(
-                            s[static_cast<size_t>(hi - 1)])]) {
-        --hi;
-      }
+      while (lo < hi && !in_box_[static_cast<size_t>(s[lo])]) ++lo;
+      while (hi > lo && !in_box_[static_cast<size_t>(s[hi - 1])]) --hi;
     }
   }
 
@@ -758,6 +207,8 @@ class CodePeelState {
   static constexpr int kApplyBlock = 4096;
   static constexpr int kPrefetchAhead = 32;
 
+  static int Rows(int64_t cell) { return StreamedBinTotals::Rows(cell); }
+
   int64_t* Cells(int dim) {
     return cells_.data() + offset_[static_cast<size_t>(dim)];
   }
@@ -765,8 +216,88 @@ class CodePeelState {
     return cells_.data() + offset_[static_cast<size_t>(dim)];
   }
 
-  // Removes the still-in-box rows among `rows[0, len)` from every column
-  // but `skip_dim`, whose cut bins Apply zeroes outright.
+  // Every in-box row of `dim` lies in its window [lo_rank_, hi_rank_),
+  // whose ends are live rows after each Apply's trim, so bins below the
+  // code of the first window row and above the code of the last hold no
+  // in-box row: walks from the bottom start at FirstBin, walks from the top
+  // at LastBin.
+  int FirstBin(int dim) const {
+    const size_t d = static_cast<size_t>(dim);
+    return binned_.code(dim, sorted_[d][lo_rank_[d]]);
+  }
+  int LastBin(int dim) const {
+    const size_t d = static_cast<size_t>(dim);
+    return binned_.code(dim, sorted_[d][hi_rank_[d] - 1]);
+  }
+
+  // Whether a cut at bin b of `dim` is refined from the value column.
+  bool Refines(int dim, int b) const {
+    return values_ != nullptr &&
+           binned_.bin_first(dim, b) != binned_.bin_last(dim, b);
+  }
+
+  // The bound of a whole-bin cut at bin b: its value edge facing the box.
+  double Edge(int dim, int b, bool low_side) const {
+    return low_side ? binned_.bin_first(dim, b) : binned_.bin_last(dim, b);
+  }
+
+  // The stretch of `dim`'s window that bin b covers: it holds every in-box
+  // row of the bin.
+  std::pair<const int*, int> Segment(int dim, int b) const {
+    const size_t d = static_cast<size_t>(dim);
+    const int begin = std::max(binned_.bin_begin_rank(dim, b), lo_rank_[d]);
+    const int end = std::min(binned_.bin_begin_rank(dim, b + 1), hi_rank_[d]);
+    return {sorted_[d] + begin, end - begin};
+  }
+
+  // Value of the in-box row of bin b at in-box offset `offset`, counted
+  // from the bin's bottom (from_low) or top. Refined bins only.
+  double InBinValue(int dim, int b, int offset, bool from_low) const {
+    const auto [rows, len] = Segment(dim, b);
+    const double* col = values_->column(dim).data();
+    for (int i = 0; i < len; ++i) {
+      const int r = rows[from_low ? i : len - 1 - i];
+      if (in_box_[static_cast<size_t>(r)] && offset-- == 0) return col[r];
+    }
+    assert(false && "in-bin offset out of range");
+    return 0.0;
+  }
+
+  // Number of in-box rows of bin b beyond the bound `v` on the cut side
+  // (below it on the low side, above it on the high side), counting rows
+  // equal to `v` when inclusive. The segment is value-sorted, so a masked
+  // count over all of it is exact; dispatched (util/simd.h).
+  int InBinBeyond(int dim, int b, double v, bool low_side,
+                  bool inclusive) const {
+    const auto [rows, len] = Segment(dim, b);
+    const int below = util::MaskedCountBelow(
+        values_->column(dim).data(), in_box_.data(), rows, len, v,
+        /*strict=*/low_side != inclusive);
+    return low_side ? below : Rows(Cells(dim)[b]) - below;
+  }
+
+  // Positives among the `part` in-box rows of bin b beyond the bound.
+  // Integral labels only, where the dispatched sum is exact (util/simd.h).
+  double PartPositives(int dim, int b, int part, bool low_side) const {
+    const auto [rows, len] = Segment(dim, b);
+    if (low_side) {
+      return util::MaskedPrefixSum(y_, in_box_.data(), rows, len, part);
+    }
+    const int64_t cell = Cells(dim)[b];
+    return static_cast<double>(StreamedBinTotals::Positives(cell)) -
+           util::MaskedPrefixSum(y_, in_box_.data(), rows, len,
+                                 Rows(cell) - part);
+  }
+
+  // Removes the still-in-box rows among permutation ranks [begin, end) of
+  // a column from every column's cells but `skip_dim`'s (-1: none).
+  void RemoveRows(const int* sorted, int begin, int end, int skip_dim) {
+    for (int start = begin; start < end; start += kApplyBlock) {
+      RemoveBlock(sorted + start, std::min(kApplyBlock, end - start),
+                  skip_dim);
+    }
+  }
+
   void RemoveBlock(const int* rows, int len, int skip_dim) {
     int* out = removed_rows_.data();
     int count = 0;
@@ -779,7 +310,7 @@ class CodePeelState {
     n_ -= count;
     int64_t* delta = removed_delta_.data();
     for (int i = 0; i < count; ++i) {
-      const double y = y_[static_cast<size_t>(out[i])];
+      const double y = y_[out[i]];
       delta[i] = integral_labels_ ? 1 + (static_cast<int64_t>(y)
                                          << StreamedBinTotals::kPosShift)
                                   : 1;
@@ -802,40 +333,41 @@ class CodePeelState {
     }
   }
 
-  // Sum of y over the first `count` in-box rows of `dim` in (bin, row id)
-  // order -- the sorted kernel's exact accumulation order for single-value
-  // bins. Fractional-label path only.
+  // Sum of y over the first `count` in-box rows of `dim` in permutation
+  // order. Fractional-label path only.
   double SumYFirst(int dim, int count) const {
-    const ColumnView<int> sorted = binned_.sorted_rows(dim);
+    const size_t d = static_cast<size_t>(dim);
     double sum = 0.0;
     int seen = 0;
-    for (int pos = lo_rank_[static_cast<size_t>(dim)]; seen < count; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
+    for (int pos = lo_rank_[d]; seen < count; ++pos) {
+      const int r = sorted_[d][pos];
       if (!in_box_[static_cast<size_t>(r)]) continue;
-      sum += y_[static_cast<size_t>(r)];
+      sum += y_[r];
       ++seen;
     }
     return sum;
   }
 
-  // Sum of y over in-box rows of `dim` from in-box rank `from_rank` up,
-  // accumulated ascending. Fractional-label path only.
-  double SumYTail(int dim, int from_rank) const {
-    const ColumnView<int> sorted = binned_.sorted_rows(dim);
+  // Sum of y over the rows a high-side cut at bin b removes -- the top
+  // `part` in-box rows of the bin and every in-box row above it -- in
+  // permutation order. Fractional-label path only.
+  double SumYTail(int dim, int b, int part) const {
+    const size_t d = static_cast<size_t>(dim);
+    const auto [rows, len] = Segment(dim, b);
+    int stay = Rows(Cells(dim)[b]) - part;
+    const int* p = rows;
+    for (; stay > 0; ++p) stay -= in_box_[static_cast<size_t>(*p)];
     double sum = 0.0;
-    int seen = 0;
-    for (int pos = lo_rank_[static_cast<size_t>(dim)];
-         pos < hi_rank_[static_cast<size_t>(dim)]; ++pos) {
-      const int r = sorted[static_cast<size_t>(pos)];
-      if (!in_box_[static_cast<size_t>(r)]) continue;
-      if (seen >= from_rank) sum += y_[static_cast<size_t>(r)];
-      ++seen;
+    for (const int* end = sorted_[d] + hi_rank_[d]; p < end; ++p) {
+      if (in_box_[static_cast<size_t>(*p)]) sum += y_[*p];
     }
     return sum;
   }
 
   const BinnedIndex& binned_;
-  const std::vector<double>& y_;
+  const std::vector<const int*> sorted_;   // [dim] code-ordered permutation
+  const double* y_;                        // by row id
+  const ColumnIndex* values_;              // null: cut whole bins
   std::vector<uint8_t> in_box_;            // by row id
   int n_ = 0;                              // rows currently in box
   bool integral_labels_ = false;           // every y is exactly 0 or 1
@@ -959,7 +491,6 @@ std::vector<Box> PrimResult::ReturnedBoxes() const {
                           boxes.begin() + best_val_index + 1);
 }
 
-
 PrimResult RunPrim(const Dataset& train, const Dataset& val,
                    const PrimConfig& config, const ColumnIndex* train_index,
                    const BinnedIndex* train_binned) {
@@ -973,22 +504,22 @@ PrimResult RunPrim(const Dataset& train, const Dataset& val,
   assert(train_index->num_rows() == train.num_rows());
   assert(train_index->num_cols() == train.num_cols());
 
+  std::shared_ptr<const BinnedIndex> owned_binned;
+  if (train_binned == nullptr) {
+    owned_binned = BinnedIndex::Build(*train_index);
+    train_binned = owned_binned.get();
+  }
+  assert(train_binned->num_rows() == train.num_rows());
+  assert(train_binned->num_cols() == train.num_cols());
+  const auto totals = StreamedBinTotals::Build(*train_binned, train.y_data());
+  std::vector<const int*> sorted;
+  for (int j = 0; j < train.num_cols(); ++j) {
+    sorted.push_back(train_index->sorted_rows(j).data());
+  }
+  PeelState state(*train_binned, std::move(sorted), train.y_data(), *totals,
+                  train_index);
   PrimResult result;
-  if (config.backend == PrimPeelBackend::kBinned) {
-    std::shared_ptr<const BinnedIndex> owned_binned;
-    if (train_binned == nullptr) {
-      owned_binned = BinnedIndex::Build(*train_index);
-      train_binned = owned_binned.get();
-    }
-    assert(train_binned->num_rows() == train.num_rows());
-    assert(train_binned->num_cols() == train.num_cols());
-    BinnedPeelState state(train, *train_index, *train_binned);
-    obs::Span span("prim.peel");
-    result = RunPeelingPhase(train.num_cols(),
-                             static_cast<double>(train.num_rows()),
-                             train.TotalPositive(), &val, config, &state);
-  } else {
-    PeelState state(train, *train_index);
+  {
     obs::Span span("prim.peel");
     result = RunPeelingPhase(train.num_cols(),
                              static_cast<double>(train.num_rows()),
@@ -1016,17 +547,20 @@ PrimResult RunPrimStreamed(const BinnedIndex& binned,
   assert(val == nullptr || val->num_rows() > 0);
   std::shared_ptr<const StreamedBinTotals> owned;
   if (totals == nullptr) {
-    owned = StreamedBinTotals::Build(binned, y);
+    owned = StreamedBinTotals::Build(binned, y.data());
     totals = owned.get();
   }
   assert(static_cast<int>(totals->offset.size()) == binned.num_cols() + 1);
 
-  // The shared peeling loop on the quantized plane: CodePeelState is just
-  // another peel-state backend, so the loop -- candidate selection,
-  // validation tracking, box selection -- is the exact code the
-  // materialized kernels run. Pasting needs raw training values, so it is
+  // The materialized plan's peel state and loop, without value columns:
+  // cuts stay whole bins. Pasting needs raw training values, so it is
   // skipped.
-  CodePeelState state(binned, y, *totals);
+  std::vector<const int*> sorted;
+  for (int j = 0; j < binned.num_cols(); ++j) {
+    sorted.push_back(binned.sorted_rows(j).data());
+  }
+  PeelState state(binned, std::move(sorted), y.data(), *totals,
+                  /*values=*/nullptr);
   obs::Span span("prim.peel");
   return RunPeelingPhase(binned.num_cols(),
                          static_cast<double>(binned.num_rows()),

@@ -15,22 +15,11 @@
 
 namespace reds {
 
-/// Peel-candidate kernel.
-///   kSorted: rank selection on per-column sorted in-box views, compacted
-///            through a bitmask on every peel (the PR 2 kernel).
-///   kBinned: per-dimension in-box bin histograms over a BinnedIndex locate
-///            each peel bin in O(bins); an exact scan inside that bin
-///            refines the boundary, and applying a peel touches only the
-///            removed rows (O(removed x M)) instead of compacting every
-///            view (O(N x M)). Produces bit-identical box sequences.
-enum class PrimPeelBackend { kSorted, kBinned };
-
 struct PrimConfig {
   double alpha = 0.05;   // peeling fraction removed per step
   int min_points = 20;   // mp: peel while train and val boxes hold >= mp points
   bool paste = false;    // run the pasting phase on the selected box
   double paste_alpha = 0.01;  // expansion fraction per pasting step
-  PrimPeelBackend backend = PrimPeelBackend::kBinned;
   /// Evaluate the 2M per-dimension peel candidates on a thread pool when
   /// > 1 and the in-box workload is large enough (kPrimParallelMinWork);
   /// candidate selection stays in dimension order, so the result is
@@ -61,23 +50,30 @@ struct PrimResult {
 /// fractional (REDS probability labels). The paper's experiments use
 /// val == train.
 ///
-/// The peel candidates are found through the backend selected in `config`
-/// (sorted in-box views or binned histograms + exact in-bin refinement;
-/// identical results either way). Pass prebuilt indexes of `train` to
-/// amortize them across runs; when null, private ones are built
-/// (`train_binned` is only consulted by the kBinned backend).
+/// Peeling runs on the quantized plane: per-bin in-box counts over
+/// `train_binned` locate each cut's boundary bin in O(bins), the
+/// ColumnIndex refines the cut inside a bin that holds more than one value
+/// (the exact order statistic and tie rules), and applying a peel touches
+/// only the removed rows. The boxes are RunPrimReference's bit for bit.
+/// Pass prebuilt indexes of `train` (`train_binned` quantizing
+/// `train_index`) to amortize them across runs; when null, private ones
+/// are built.
 PrimResult RunPrim(const Dataset& train, const Dataset& val,
                    const PrimConfig& config,
                    const ColumnIndex* train_index = nullptr,
                    const BinnedIndex* train_binned = nullptr);
 
-/// The original scalar implementation (full rescan per peel candidate).
-/// Kept as the golden reference for equivalence tests and as the baseline
-/// the perf harness measures speedups against. Same results as RunPrim.
+/// The original scalar implementation (full rescan per peel candidate),
+/// kept as RunPrim's golden reference for equivalence tests and as the
+/// baseline the perf harness measures speedups against. Removed label mass
+/// is summed ascending by (value, row id) and subtracted once per peel, the
+/// order RunPrim accumulates in, so results match RunPrim bit for bit for
+/// fractional labels too.
 PrimResult RunPrimReference(const Dataset& train, const Dataset& val,
                             const PrimConfig& config);
 
-/// PRIM peeling entirely on the quantized plane: candidates, counts and
+/// PRIM peeling entirely on the quantized plane: the peel state of RunPrim
+/// without value columns, so cuts take whole bins. Candidates, counts and
 /// removed-mass sums come from BinnedIndex codes, per-bin aggregates and
 /// the index's own code-ordered permutation -- no raw matrix and no
 /// ColumnIndex, so it runs on streamed datasets whose doubles were never

@@ -1,5 +1,5 @@
 // Internal: the peel-candidate record and the generic peeling loop shared
-// by every PRIM backend. Split out of prim.cc so the shard coordinator can
+// by every PRIM peel state. Split out of prim.cc so the shard coordinator can
 // drive the exact same loop over a distributed peel state (shard/) -- box
 // sequences stay bit-identical to the single-process kernels by
 // construction, because there is only one loop.
@@ -23,18 +23,18 @@ struct Peel {
   int dim = -1;
   bool low_side = true;   // true: raise lo to `bound`; false: drop hi
   double bound = 0.0;
-  int bin = -1;           // boundary bin (quantized kernels only)
+  int bin = -1;           // boundary bin: bins beyond it go whole
   double removed_n = 0.0;
   double removed_pos = 0.0;
   double precision_after = -1.0;
 };
 
-// The peeling loop, generic over the peel-state backend (all backends
-// expose the same MakeCandidate/Apply interface and produce bit-identical
-// Peels). The training data lives entirely inside the state -- this loop
-// only needs its shape and label mass -- so the same code runs
-// materialized (PeelState/BinnedPeelState), streamed (CodePeelState) and
-// sharded (shard::FleetPeelState) datasets.
+// The peeling loop, generic over the peel state (every state exposes the
+// same MakeCandidate/Apply interface). The training data lives entirely
+// inside the state -- this loop only needs its shape and label mass -- so
+// the same code runs materialized and streamed datasets (prim.cc's
+// PeelState, with and without value columns), sharded ones
+// (shard::FleetPeelState) and the streamed golden reference.
 // `val` may be null (the streamed D_val = D case): validation stats then
 // mirror the training stats and the geometric validation cut is exactly
 // the applied peel, so there is nothing separate to track.

@@ -1,12 +1,15 @@
 // Reference scalar PRIM: the original full-rescan implementation, kept as
-// the golden baseline the sorted-index kernel in prim.cc is verified against
+// the golden baseline RunPrim (prim.cc) is verified against
 // (tests/prim_equivalence_test.cc) and benchmarked against
-// (bench/bench_perf_kernels.cc). Beside it, the original bumping replicate
-// loop (a private sorted index per replicate, a full validation pass per
-// box), the golden baseline of core/bumping.cc
-// (tests/bumping_covering_test.cc). Last, the streamed peel state rebuilt
-// anew for every candidate, the golden baseline of RunPrimStreamed
-// (tests/streamed_prim_test.cc). Not used on any production path.
+// (bench/bench_perf_kernels.cc). Its one departure from the textbook loop
+// is the summation contract RunPrim keeps: a candidate sums the removed
+// labels ascending by (value, row id), and a peel subtracts that sum once.
+// Beside it, the original bumping replicate loop (a private sorted index
+// per replicate, a full validation pass per box), the golden baseline of
+// core/bumping.cc (tests/bumping_covering_test.cc). Last, the streamed peel
+// state rebuilt anew for every candidate, the golden baseline of
+// RunPrimStreamed (tests/streamed_prim_test.cc). Not used on any
+// production path.
 #include "core/prim.h"
 
 #include <algorithm>
@@ -14,6 +17,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "core/bumping.h"
 #include "core/prim_loop.h"
@@ -73,17 +77,19 @@ Peel MakeCandidate(const Dataset& train, const std::vector<int>& in_rows,
     bound = vals[static_cast<size_t>(n - 1 - k)];  // (k+1)-th largest
   }
 
-  // Count what the cut removes; points equal to the bound stay inside.
+  // Count what the cut removes; points equal to the bound stay inside. The
+  // removed labels are summed ascending by (value, row id).
+  std::vector<std::pair<double, int>> removed;
   auto count_removed = [&](double b) {
-    double rn = 0.0, rp = 0.0;
+    removed.clear();
     for (int r : in_rows) {
       const double x = train.x(r, dim);
-      if (low_side ? x < b : x > b) {
-        rn += 1.0;
-        rp += train.y(r);
-      }
+      if (low_side ? x < b : x > b) removed.emplace_back(x, r);
     }
-    peel.removed_n = rn;
+    std::sort(removed.begin(), removed.end());
+    double rp = 0.0;
+    for (const auto& [x, r] : removed) rp += train.y(r);
+    peel.removed_n = static_cast<double>(removed.size());
     peel.removed_pos = rp;
   };
   count_removed(bound);
@@ -105,22 +111,21 @@ Peel MakeCandidate(const Dataset& train, const std::vector<int>& in_rows,
   return peel;
 }
 
-// Drops rows violating the peel from `rows`, updating `stats`.
+// Drops rows violating the peel from `rows`; `stats` loses the peel's
+// removed count and label mass at once.
 void ApplyPeel(const Dataset& d, const Peel& peel, std::vector<int>* rows,
                BoxStats* stats) {
   size_t kept = 0;
   for (size_t i = 0; i < rows->size(); ++i) {
     const int r = (*rows)[i];
     const double x = d.x(r, peel.dim);
-    const bool removed = peel.low_side ? x < peel.bound : x > peel.bound;
-    if (removed) {
-      stats->n -= 1.0;
-      stats->n_pos -= d.y(r);
-    } else {
+    if (!(peel.low_side ? x < peel.bound : x > peel.bound)) {
       (*rows)[kept++] = r;
     }
   }
   rows->resize(kept);
+  stats->n -= peel.removed_n;
+  stats->n_pos -= peel.removed_pos;
 }
 
 // One pasting expansion candidate: move a bound outward to re-admit roughly

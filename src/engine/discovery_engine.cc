@@ -525,7 +525,7 @@ std::shared_ptr<const StreamedDataset> DiscoveryEngine::ReadSource(
           disk_->StoreStreamedIndex(data.input_fingerprint, index);
         }
       });
-  data.totals = StreamedBinTotals::Build(*data.index, data.y);
+  data.totals = StreamedBinTotals::Build(*data.index, data.y.data());
   return out;
 }
 

@@ -392,7 +392,7 @@ std::shared_ptr<const StreamedDataset> PersistentCache::LoadRelabelStream(
   data->input_fingerprint = input_fp;
   data->fingerprint = full_fp;
   // Totals are not serialized: a load counts them once for the entry.
-  data->totals = StreamedBinTotals::Build(*data->index, data->y);
+  data->totals = StreamedBinTotals::Build(*data->index, data->y.data());
   relabel_hits_->Add(1);
   return data;
 }

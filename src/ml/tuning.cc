@@ -32,9 +32,8 @@ namespace {
 using ModelFactory = std::function<std::unique_ptr<Metamodel>()>;
 
 // Row-id views of one CV fold: the ascending training rows and the
-// held-out rows. The streamed plan fits candidates through these plus the
-// shared full-data indexes; the materialized plan copies `train_rows` into
-// a fold dataset.
+// held-out rows. Candidates fit through these plus the shared full-data
+// indexes, so nothing fold-sized is ever copied.
 struct CvFoldRows {
   std::vector<int> train_rows;
   std::vector<int> test_rows;
@@ -42,8 +41,7 @@ struct CvFoldRows {
 
 // The fold membership is computed once per tuning run so every grid
 // candidate is scored on identical folds (caret's protocol). Degenerate
-// folds (empty train or test side) are dropped, matching the historical
-// materialized behavior.
+// folds (empty train or test side) are dropped.
 std::vector<CvFoldRows> BuildFoldRows(int n, int folds, uint64_t seed) {
   const std::vector<int> fold = FoldAssignment(n, folds, seed);
   std::vector<CvFoldRows> out;
@@ -59,48 +57,41 @@ std::vector<CvFoldRows> BuildFoldRows(int n, int folds, uint64_t seed) {
   return out;
 }
 
-// One materialized CV fold: the copied training subset and its columnar
-// (and, under the histogram backend, binned) views shared by every grid
-// candidate fit on the fold. Reference plan only -- residency scales with
-// k fold-matrix copies.
-struct CvFold {
-  Dataset train;
-  std::vector<int> test_rows;
-  std::shared_ptr<const ColumnIndex> index;
-  std::shared_ptr<const BinnedIndex> binned;
-};
-
-std::vector<CvFold> BuildCvFolds(const Dataset& d, int folds, uint64_t seed,
-                                 SplitBackend backend, bool tree_family) {
-  std::vector<CvFold> out;
-  for (CvFoldRows& rows : BuildFoldRows(d.num_rows(), folds, seed)) {
-    CvFold cv;
-    cv.train = d.SubsetRows(rows.train_rows);
-    cv.test_rows = std::move(rows.test_rows);
-    if (tree_family) {
-      cv.index = ColumnIndex::Build(cv.train);
-      if (backend == SplitBackend::kHistogram) {
-        cv.binned = BinnedIndex::Build(*cv.index);
-      }
-    }
-    out.push_back(std::move(cv));
+// Points `index`/`binned` at full-data views of d for the tree families,
+// building into the owned pointers whatever the caller did not pass. One
+// view pair serves every fold of every candidate.
+void EnsureFoldIndexes(const Dataset& d, const TuningConfig& config,
+                       bool tree_family, const ColumnIndex** index,
+                       const BinnedIndex** binned,
+                       std::shared_ptr<const ColumnIndex>* owned_index,
+                       std::shared_ptr<const BinnedIndex>* owned_binned) {
+  if (!tree_family) return;
+  if (*index == nullptr) {
+    *owned_index = ColumnIndex::Build(d);
+    *index = owned_index->get();
   }
-  return out;
+  if (config.backend == SplitBackend::kHistogram && *binned == nullptr) {
+    *owned_binned = BinnedIndex::Build(**index);
+    *binned = owned_binned->get();
+  }
 }
 
-// Mean held-out log-loss over the fitted per-fold models. `fit_fold`
-// returns the model for fold f; scoring (and the per-fold seed stream) is
-// shared by both fold plans so their losses can only differ through the
-// fits themselves.
-double FoldLoss(const Dataset& d, size_t num_built, int num_folds,
-                const std::function<std::unique_ptr<Metamodel>(size_t)>& fit_fold,
-                const std::function<const std::vector<int>&(size_t)>& test_rows) {
+// Mean held-out log-loss of a candidate fit through per-fold row views
+// over the shared full-data indexes: peak tuning residency is the one
+// transient fit working set, not k fold matrices.
+double CrossValidate(const ModelFactory& factory, const Dataset& d,
+                     const std::vector<CvFoldRows>& folds, int num_folds,
+                     uint64_t seed, const ColumnIndex* index,
+                     const BinnedIndex* binned) {
   double total = 0.0;
-  for (size_t f = 0; f < num_built; ++f) {
-    const std::unique_ptr<Metamodel> model = fit_fold(f);
-    const std::vector<int>& held_out = test_rows(f);
+  const size_t m = static_cast<size_t>(d.num_cols());
+  for (size_t f = 0; f < folds.size(); ++f) {
+    auto model = factory();
+    model->FitOnRows(d, folds[f].train_rows,
+                     DeriveSeed(seed, static_cast<uint64_t>(f) + 101), index,
+                     binned);
+    const std::vector<int>& held_out = folds[f].test_rows;
     // Gather the held-out rows into one block for PredictBlock.
-    const size_t m = static_cast<size_t>(d.num_cols());
     std::vector<double> x(held_out.size() * m), prob(held_out.size()), y;
     y.reserve(held_out.size());
     for (size_t i = 0; i < held_out.size(); ++i) {
@@ -114,82 +105,25 @@ double FoldLoss(const Dataset& d, size_t num_built, int num_folds,
   return total / num_folds;
 }
 
-// Mean CV log-loss of a candidate on the materialized folds.
-double CrossValidate(const ModelFactory& factory, const Dataset& d,
-                     const std::vector<CvFold>& folds, int num_folds,
-                     uint64_t seed) {
-  return FoldLoss(
-      d, folds.size(), num_folds,
-      [&](size_t f) {
-        auto model = factory();
-        model->Fit(folds[f].train,
-                   DeriveSeed(seed, static_cast<uint64_t>(f) + 101),
-                   folds[f].index.get(), folds[f].binned.get());
-        return model;
-      },
-      [&](size_t f) -> const std::vector<int>& { return folds[f].test_rows; });
-}
-
-// Mean CV log-loss of a candidate fit through per-fold row views over the
-// shared full-data indexes: nothing fold-sized is ever copied, so peak
-// tuning residency is the one transient fit working set, not k fold
-// matrices. Bit-identical to CrossValidate wherever FitOnRows is (see
-// ml/model.h).
-double CrossValidateStreamed(const ModelFactory& factory, const Dataset& d,
-                             const std::vector<CvFoldRows>& folds,
-                             int num_folds, uint64_t seed,
-                             const ColumnIndex* index,
-                             const BinnedIndex* binned) {
-  return FoldLoss(
-      d, folds.size(), num_folds,
-      [&](size_t f) {
-        auto model = factory();
-        model->FitOnRows(d, folds[f].train_rows,
-                         DeriveSeed(seed, static_cast<uint64_t>(f) + 101),
-                         index, binned);
-        return model;
-      },
-      [&](size_t f) -> const std::vector<int>& { return folds[f].test_rows; });
-}
-
 std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
                                     const Dataset& d, uint64_t seed,
                                     const TuningConfig& config,
                                     bool tree_family,
                                     const ColumnIndex* index,
                                     const BinnedIndex* binned) {
-  const bool streamed = config.fold_plan == CvFoldPlan::kStreamed;
-  std::vector<CvFoldRows> fold_rows;
-  std::vector<CvFold> folds;
+  const std::vector<CvFoldRows> fold_rows =
+      BuildFoldRows(d.num_rows(), config.folds, seed);
   std::shared_ptr<const ColumnIndex> owned_index;
   std::shared_ptr<const BinnedIndex> owned_binned;
-  if (streamed) {
-    fold_rows = BuildFoldRows(d.num_rows(), config.folds, seed);
-    if (tree_family) {
-      // One full-data view pair serves every fold of every candidate
-      // (reusing the caller's prebuilt indexes when given). Building the
-      // full index here is still strictly smaller than the materialized
-      // plan's k fold indexes of ~(k-1)/k rows each.
-      if (index == nullptr) {
-        owned_index = ColumnIndex::Build(d);
-        index = owned_index.get();
-      }
-      if (config.backend == SplitBackend::kHistogram && binned == nullptr) {
-        owned_binned = BinnedIndex::Build(*index);
-        binned = owned_binned.get();
-      }
-    }
-  } else {
-    folds = BuildCvFolds(d, config.folds, seed, config.backend, tree_family);
-  }
+  EnsureFoldIndexes(d, config, tree_family, &index, &binned, &owned_index,
+                    &owned_binned);
   double best_loss = std::numeric_limits<double>::infinity();
   size_t best = 0;
   for (size_t g = 0; g < grid.size(); ++g) {
-    const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
     const double loss =
-        streamed ? CrossValidateStreamed(grid[g], d, fold_rows, config.folds,
-                                         g_seed, index, binned)
-                 : CrossValidate(grid[g], d, folds, config.folds, g_seed);
+        CrossValidate(grid[g], d, fold_rows, config.folds,
+                      DeriveSeed(seed, static_cast<uint64_t>(g)), index,
+                      binned);
     if (loss < best_loss) {
       best_loss = loss;
       best = g;
@@ -198,7 +132,7 @@ std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
   auto model = grid[best]();
   // The winner refits on all of d; passing the shared full-data views is
   // bit-identical to letting Fit build its own (they are constructed the
-  // same way), so the refit matches across fold plans.
+  // same way).
   model->Fit(d, DeriveSeed(seed, 0xf17ULL), index, binned);
   return model;
 }
@@ -336,27 +270,25 @@ double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
                       const ColumnIndex* index, const BinnedIndex* binned) {
   const std::vector<ModelFactory> grid =
       BuildTuningGrid(kind, d.num_cols(), config);
-  const bool tree_family = kind != MetamodelKind::kSvm;
   const std::vector<CvFoldRows> fold_rows =
       BuildFoldRows(d.num_rows(), config.folds, seed);
   std::shared_ptr<const ColumnIndex> owned_index;
   std::shared_ptr<const BinnedIndex> owned_binned;
-  if (tree_family) {
-    if (index == nullptr) {
-      owned_index = ColumnIndex::Build(d);
-      index = owned_index.get();
-    }
-    if (config.backend == SplitBackend::kHistogram && binned == nullptr) {
-      owned_binned = BinnedIndex::Build(*index);
-      binned = owned_binned.get();
-    }
-  }
+  EnsureFoldIndexes(d, config, kind != MetamodelKind::kSvm, &index, &binned,
+                    &owned_index, &owned_binned);
   // Same per-cell seed stream as PickBest's grid loop, so a cell's loss is
   // the same whether it is evaluated here (a shard worker) or inline.
-  return CrossValidateStreamed(grid[static_cast<size_t>(cell)], d, fold_rows,
-                               config.folds,
-                               DeriveSeed(seed, static_cast<uint64_t>(cell)),
-                               index, binned);
+  return CrossValidate(grid[static_cast<size_t>(cell)], d, fold_rows,
+                       config.folds,
+                       DeriveSeed(seed, static_cast<uint64_t>(cell)), index,
+                       binned);
+}
+
+std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
+                                           int num_features,
+                                           const TuningConfig& config) {
+  return BuildTuningGrid(kind, num_features,
+                         config)[static_cast<size_t>(cell)]();
 }
 
 std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
@@ -364,9 +296,7 @@ std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
                                          const TuningConfig& config,
                                          const ColumnIndex* index,
                                          const BinnedIndex* binned) {
-  const std::vector<ModelFactory> grid =
-      BuildTuningGrid(kind, d.num_cols(), config);
-  auto model = grid[static_cast<size_t>(cell)]();
+  auto model = TuningCellModel(kind, cell, d.num_cols(), config);
   model->Fit(d, DeriveSeed(seed, 0xf17ULL), index, binned);
   return model;
 }

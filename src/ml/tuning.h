@@ -1,8 +1,8 @@
 // k-fold cross-validated grid tuning for the metamodels, mimicking the
 // paper's use of caret's default hyperparameter optimization (Section 8.4.3)
-// at laptop scale. Folds -- and the per-fold columnar/binned views the tree
-// learners scan -- are built once per tuning run and shared by the whole
-// grid, caret-style, instead of being re-derived per grid point.
+// at laptop scale. Folds are row-id views over one full-data columnar/binned
+// index that the tree learners scan; both are built once per tuning run and
+// shared by the whole grid, caret-style.
 #ifndef REDS_ML_TUNING_H_
 #define REDS_ML_TUNING_H_
 
@@ -21,22 +21,11 @@ namespace reds::ml {
 /// default bench runs stay fast; kFull approximates the paper's setting.
 enum class TuningBudget { kQuick, kFull };
 
-/// How the k-fold grid search holds its folds. kStreamed (default) fits
-/// every candidate through per-fold row views over one shared full-data
-/// index, so tuning residency stays O(1 fold) regardless of k; it is
-/// bit-identical to kMaterialized wherever the backend index is exact
-/// (presorted always; histogram under exact packing), and picks the same
-/// grid cell. kMaterialized copies and re-indexes every fold's training
-/// matrix up front -- retained as the reference plan the streamed one is
-/// equivalence-tested against.
-enum class CvFoldPlan { kStreamed, kMaterialized };
-
 struct TuningConfig {
   TuningBudget budget = TuningBudget::kQuick;
   int folds = 5;
   /// Split-search kernel every tree candidate in the grid runs on.
   SplitBackend backend = SplitBackend::kPresorted;
-  CvFoldPlan fold_plan = CvFoldPlan::kStreamed;
   /// Tree growth order for the tree families (see ml/histogram.h); applied
   /// to every grid candidate and to the final refit.
   GrowthPolicy growth = GrowthPolicy::kDepthWise;
@@ -49,11 +38,9 @@ std::vector<int> FoldAssignment(int n, int k, uint64_t seed);
 
 /// Tunes the given metamodel family by grid search with k-fold CV on
 /// log-loss, then refits the winning configuration on all of d. Every grid
-/// candidate is evaluated on the same folds. Under the default streamed
-/// fold plan the candidates fit through row views over one shared
-/// full-data index (prebuilt `index`/`binned` of d are reused when given);
-/// under the materialized plan each fold's training subset is copied and
-/// indexed exactly once, grid-wide.
+/// candidate is evaluated on the same folds, fit through row views over
+/// one shared full-data index (prebuilt `index`/`binned` of d are reused
+/// when given), so tuning residency stays O(1 fold) regardless of k.
 std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
                                       uint64_t seed,
                                       const TuningConfig& config = {},
@@ -68,7 +55,7 @@ std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
 int TuningGridSize(MetamodelKind kind, int num_features,
                    const TuningConfig& config);
 
-/// Mean CV log-loss of grid cell `cell` under the streamed fold plan, with
+/// Mean CV log-loss of grid cell `cell`, with
 /// the same folds (seed-derived) and per-cell seed stream as TuneAndFit --
 /// evaluating a cell here (e.g. on a shard worker) or inline gives the
 /// same double. Prebuilt full-data indexes of d are reused when given.
@@ -76,6 +63,11 @@ double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
                       uint64_t seed, const TuningConfig& config,
                       const ColumnIndex* index = nullptr,
                       const BinnedIndex* binned = nullptr);
+
+/// An unfitted model with grid cell `cell`'s hyperparameters.
+std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
+                                           int num_features,
+                                           const TuningConfig& config);
 
 /// Refits grid cell `cell`'s configuration on all of d with TuneAndFit's
 /// refit seed stream: TuningCellFit(kind, winner, ...) reproduces the model
@@ -103,7 +95,7 @@ std::unique_ptr<Metamodel> FitDefault(MetamodelKind kind, const Dataset& d,
 /// TuneAndFit when `tune`, else FitDefault: the single dispatch both the
 /// inline REDS path and the engine's metamodel cache use, so cached and
 /// uncached fits cannot drift apart. `index`/`binned` feed the untuned fit
-/// and the tuned path's streamed fold views alike.
+/// and the tuned path's fold row views alike.
 std::unique_ptr<Metamodel> FitMetamodel(MetamodelKind kind, const Dataset& d,
                                         uint64_t seed, bool tune,
                                         TuningBudget budget,

@@ -185,7 +185,7 @@ Status ShardCoordinator::RefreshAggregates(
 }
 
 // The fleet peel state RunPeelingPhase drives. MakeCandidate makes
-// CodePeelState's integral-label candidate decisions, evaluated on the
+// RunPrimStreamed's integral-label candidate decisions, evaluated on the
 // globally-summed aggregates (the candidate is a pure function of them, so
 // no communication happens until a peel is applied). Apply is one
 // broadcast + gather round: workers remove the peeled rows from their

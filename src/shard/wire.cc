@@ -167,6 +167,16 @@ Status FrameWriteQueue::Flush(int fd, bool* blocked) {
 Result<Frame> ExpectFrame(int fd, MsgType expected, size_t max_payload) {
   Result<Frame> frame = ReadFrame(fd, max_payload);
   if (!frame.ok()) return frame;
+  if (frame->type == MsgType::kWorkerError) {
+    util::ByteReader in(frame->payload);
+    const uint8_t code = in.U8();
+    std::string message = in.Str();
+    if (!in.ok() || code == 0 ||
+        code > static_cast<uint8_t>(Status::Code::kIoError)) {
+      return Status::IoError("shard protocol: malformed error frame");
+    }
+    return Status(static_cast<Status::Code>(code), std::move(message));
+  }
   if (frame->type != expected) {
     return Status::IoError(
         "shard protocol: expected message type " +

@@ -53,6 +53,7 @@ enum class MsgType : uint8_t {
   kMetricsRequest = 20, // -> worker: snapshot your registry
   kMetricsReply = 21,   // <- worker: serialized RegistrySnapshot
   kShutdown = 22,       // -> worker: exit the serve loop
+  kWorkerError = 23,    // <- worker: a request failed (status code, message)
 
   // Client-facing discovery service (src/net/). Numbered from 64 so the
   // trusted shard protocol and the hostile-peer service never share a
@@ -92,7 +93,8 @@ inline Status WriteFrame(int fd, MsgType type, const util::ByteWriter& w) {
 /// corrupted length cannot trigger an absurd allocation).
 Result<Frame> ReadFrame(int fd, size_t max_payload = 64ull << 20);
 
-/// Reads one frame and checks its type.
+/// Reads one frame and checks its type. A kWorkerError frame comes back
+/// as the status it carries.
 Result<Frame> ExpectFrame(int fd, MsgType expected,
                           size_t max_payload = 64ull << 20);
 

@@ -91,7 +91,16 @@ Status ShardWorker::Serve() {
             std::to_string(static_cast<int>(frame->type)));
         break;
     }
-    if (!s.ok()) return s;
+    if (!s.ok()) {
+      // Tell the coordinator why before leaving, so it fails with this
+      // status rather than a broken stream. Best effort: the failure may
+      // be the connection itself.
+      util::ByteWriter out;
+      out.U8(static_cast<uint8_t>(s.code()));
+      out.Str(s.message());
+      (void)WriteFrame(fd_, MsgType::kWorkerError, out);
+      return s;
+    }
   }
 }
 
@@ -121,6 +130,8 @@ Status ShardWorker::HandleSketch(const std::string& payload) {
     if (!block.ok()) return block.status();
     if (block->empty()) break;
     const int rows = block->num_rows();
+    Status finite = CheckFiniteBlock(block->x.data(), rows, m_);
+    if (!finite.ok()) return finite;
     n += rows;
     metrics_.counter("shard.worker.blocks")->Add();
     metrics_.counter("shard.worker.rows")->Add(static_cast<uint64_t>(rows));
@@ -329,7 +340,7 @@ Status ShardWorker::HandlePeel(const std::string& payload) {
   }
   metrics_.counter("shard.worker.peels")->Add();
 
-  // Mirror of CodePeelState::Apply on the local slice of each global bin:
+  // Mirror of RunPrimStreamed's Apply on the local slice of each global bin:
   // the global peel removes every in-box row below (or above) the boundary
   // bin, and the local permutation windows tile exactly those rows.
   const std::vector<int>& perm = perm_[static_cast<size_t>(dim)];

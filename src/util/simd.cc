@@ -61,12 +61,6 @@ SimdLevel ForceSimdLevel(SimdLevel level) {
   return static_cast<SimdLevel>(want);
 }
 
-double GatherSumReference(const double* v, const int* ids, int n) {
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += v[ids[i]];
-  return sum;
-}
-
 int MaskedCountBelowReference(const double* col, const unsigned char* mask,
                               const int* ids, int n, double bound,
                               bool strict) {
@@ -99,21 +93,11 @@ double MaskedPrefixSumReference(const double* y, const unsigned char* mask,
 }
 
 #if defined(REDS_HAVE_AVX2)
-double GatherSumAvx2(const double* v, const int* ids, int n);
 int MaskedCountBelowAvx2(const double* col, const unsigned char* mask,
                          const int* ids, int n, double bound, bool strict);
 double MaskedPrefixSumAvx2(const double* y, const unsigned char* mask,
                            const int* ids, int n, int count);
 #endif
-
-double GatherSum(const double* v, const int* ids, int n) {
-#if defined(REDS_HAVE_AVX2)
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    return GatherSumAvx2(v, ids, n);
-  }
-#endif
-  return GatherSumReference(v, ids, n);
-}
 
 int MaskedCountBelow(const double* col, const unsigned char* mask,
                      const int* ids, int n, double bound, bool strict) {

@@ -39,18 +39,9 @@ SimdLevel ForceSimdLevel(SimdLevel level);
 /// them, regardless of the REDS_SIMD override.
 bool Avx2Available();
 
-/// Sum of v[ids[0]] + v[ids[1]] + ... + v[ids[n-1]], dispatched. The AVX2
-/// path reorders the additions (vector accumulators), so it is only
-/// invoked by callers whose values are integer-valued doubles (sums of
-/// {0,1} labels are exact in any association below 2^53); the scalar
-/// fallback adds strictly in ids order. GatherSumReference is the pinned
-/// sequential loop.
-double GatherSum(const double* v, const int* ids, int n);
-double GatherSumReference(const double* v, const int* ids, int n);
-
 /// Number of i in [0, n) with (strict ? col[ids[i]] < bound
 ///                                    : col[ids[i]] <= bound) && mask[ids[i]].
-/// The boundary-bin scan of PRIM's binned peel kernel: ids is a value-sorted
+/// The boundary-bin scan of PRIM's peel state: ids is a value-sorted
 /// permutation segment and mask the in-box bitmask, so a full-segment masked
 /// count equals the early-break scalar walk. Counts are integers, so the
 /// dispatched path is exact by construction. The AVX2 body gathers mask
@@ -64,7 +55,7 @@ int MaskedCountBelowReference(const double* col, const unsigned char* mask,
 
 /// Sum of y[ids[i]] over the first `count` i in [0, n) with mask[ids[i]]
 /// set, scanning i ascending; ids must hold at least `count` masked rows.
-/// The AVX2 path reorders the additions, so -- like GatherSum -- it is only
+/// The AVX2 path reorders the additions (vector accumulators), so it is only
 /// invoked by callers whose y values are integer-valued doubles (PRIM's
 /// hard {0,1} relabels), where any association below 2^53 is exact. Same
 /// 3-byte mask padding requirement as MaskedCountBelow.

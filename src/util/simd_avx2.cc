@@ -1,10 +1,12 @@
-// AVX2 body for util::GatherSum. Compiled with -mavx2 (see CMakeLists);
-// never referenced unless ActiveSimdLevel() == kAvx2.
+// AVX2 bodies for util::MaskedCountBelow and util::MaskedPrefixSum.
+// Compiled with -mavx2 (see CMakeLists); never referenced unless
+// ActiveSimdLevel() == kAvx2.
 //
-// The vector accumulation reassociates the sum, so this path is only legal
-// for integer-valued doubles (see the GatherSum contract in simd.h): any
-// association of integer addends below 2^53 yields the same exact value,
-// which keeps the result bit-identical to the sequential reference.
+// The vector accumulation of MaskedPrefixSum reassociates the sum, so that
+// path is only legal for integer-valued doubles (see the contract in
+// simd.h): any association of integer addends below 2^53 yields the same
+// exact value, which keeps the result bit-identical to the sequential
+// reference.
 #include "util/simd.h"
 
 #if defined(REDS_HAVE_AVX2) && defined(__AVX2__)
@@ -30,27 +32,6 @@ inline __m128i GatherMaskNonZero(const unsigned char* mask, __m128i ids) {
 }
 
 }  // namespace
-
-double GatherSumAvx2(const double* v, const int* ids, int n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i id_lo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i));
-    const __m128i id_hi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + i + 4));
-    acc0 = _mm256_add_pd(acc0, _mm256_i32gather_pd(v, id_lo, 8));
-    acc1 = _mm256_add_pd(acc1, _mm256_i32gather_pd(v, id_hi, 8));
-  }
-  const __m256d acc = _mm256_add_pd(acc0, acc1);
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d sum2 = _mm_add_pd(lo, hi);
-  double sum = _mm_cvtsd_f64(_mm_add_sd(sum2, _mm_unpackhi_pd(sum2, sum2)));
-  for (; i < n; ++i) sum += v[ids[i]];
-  return sum;
-}
 
 // Exact on every input: the result is an integer count, and each lane's
 // predicate is evaluated exactly as the scalar reference evaluates it.

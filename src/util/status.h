@@ -23,6 +23,7 @@ class Status {
   };
 
   Status() : code_(Code::kOk) {}
+  Status(Code code, std::string msg) : code_(code), message_(std::move(msg)) {}
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -49,8 +50,6 @@ class Status {
   std::string ToString() const;
 
  private:
-  Status(Code code, std::string msg) : code_(code), message_(std::move(msg)) {}
-
   Code code_;
   std::string message_;
 };

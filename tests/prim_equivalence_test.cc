@@ -1,9 +1,8 @@
-// Golden equivalence: the sorted-index kernels (PRIM peeling + pasting, BI
-// beam refinement, presorted CART/GBT split search) must reproduce the
-// reference scalar implementations' results across seeds, alphas, and label
-// types. Hard {0,1} labels make every internal sum exact, so equality is
-// bitwise; fractional labels may reorder floating-point accumulation, so
-// those cases assert near-equality.
+// Golden equivalence: the indexed kernels (PRIM peeling + pasting, BI beam
+// refinement, presorted CART/GBT split search) must reproduce the reference
+// scalar implementations' results across seeds, alphas, and label types.
+// PRIM is bitwise for fractional labels too: RunPrim and RunPrimReference
+// both sum removed label mass ascending by (value, row id).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,24 +69,14 @@ TEST(PrimEquivalenceTest, SameBoxSequenceAcrossSeedsAndAlphas) {
 }
 
 TEST(PrimEquivalenceTest, SameBoxSequenceWithProbabilityLabels) {
-  // REDS "p" variants peel fractional targets; sums there are accumulated
-  // in a different order than the reference, so allow curve values to agree
-  // only to a few ulps while the geometry must match exactly.
+  // REDS "p" variants peel fractional targets; both sides accumulate the
+  // removed mass in the same order, so curves match bit for bit.
   for (uint64_t seed : {11u, 12u, 13u}) {
     const Dataset d = MakeData(600, 5, seed, /*fractional=*/true);
     PrimConfig config;
     config.alpha = 0.07;
-    const PrimResult ref = RunPrimReference(d, d, config);
-    const PrimResult opt = RunPrim(d, d, config);
-    ASSERT_EQ(ref.boxes.size(), opt.boxes.size()) << seed;
-    EXPECT_EQ(ref.best_val_index, opt.best_val_index) << seed;
-    for (size_t i = 0; i < ref.boxes.size(); ++i) {
-      EXPECT_TRUE(ref.boxes[i] == opt.boxes[i]) << "seed " << seed
-                                                << " box " << i;
-      EXPECT_NEAR(ref.val_curve[i].precision, opt.val_curve[i].precision,
-                  1e-12);
-      EXPECT_NEAR(ref.val_curve[i].recall, opt.val_curve[i].recall, 1e-12);
-    }
+    ExpectSamePrimResult(RunPrimReference(d, d, config), RunPrim(d, d, config),
+                         "seed=" + std::to_string(seed));
   }
 }
 
@@ -126,42 +115,54 @@ TEST(PrimEquivalenceTest, SeparateValidationData) {
   ExpectSamePrimResult(ref, opt, "train != val");
 }
 
-TEST(PrimEquivalenceTest, BinnedBackendMatchesSortedBitForBit) {
-  // The quantized peel state must reproduce the sorted-index kernel's boxes
-  // and curves exactly -- including fractional labels, where the in-bin
-  // exact refinement keeps the removed-mass sums in the same accumulation
-  // order -- across continuous, tie-heavy, and pasted runs.
-  for (uint64_t seed : {121u, 122u, 123u}) {
-    for (bool fractional : {false, true}) {
-      for (int distinct : {0, 6}) {
-        const Dataset d = MakeData(700, 5, seed, fractional, distinct);
-        PrimConfig sorted_config;
-        sorted_config.backend = PrimPeelBackend::kSorted;
-        sorted_config.paste = true;
-        PrimConfig binned_config = sorted_config;
-        binned_config.backend = PrimPeelBackend::kBinned;
-        const PrimResult sorted_run = RunPrim(d, d, sorted_config);
-        const PrimResult binned_run = RunPrim(d, d, binned_config);
-        ExpectSamePrimResult(sorted_run, binned_run,
-                             "seed=" + std::to_string(seed) +
-                                 " fractional=" + std::to_string(fractional) +
-                                 " distinct=" + std::to_string(distinct));
+TEST(PrimEquivalenceTest, MatchesReferenceBitForBitAcrossBinWidths) {
+  // RunPrim locates cuts through a BinnedIndex and refines them inside any
+  // bin holding more than one value. Wide bins (max_bins 2, 5, 16) on
+  // tie-heavy data make nearly every cut a refined one that removes part
+  // of its boundary bin. Boxes and curves must match the reference bit for
+  // bit for hard and fractional labels, train == val and a separate
+  // validation set, with pasting, serial and block-parallel; the parallel
+  // pass only engages while in-box rows x dims clear kPrimParallelMinWork,
+  // hence the larger data at 4 threads.
+  for (int threads : {1, 4}) {
+    const int n = threads == 1 ? 700 : 9000;
+    for (uint64_t seed : {121u, 122u}) {
+      for (bool fractional : {false, true}) {
+        for (int distinct : {0, 6}) {
+          const Dataset d = MakeData(n, 5, seed, fractional, distinct);
+          const Dataset val =
+              MakeData(n / 2, 5, seed + 50, fractional, distinct);
+          const auto index = ColumnIndex::Build(d);
+          for (const Dataset* v : {&d, &val}) {
+            PrimConfig config;
+            config.paste = true;
+            const PrimResult ref = RunPrimReference(d, *v, config);
+            config.threads = threads;
+            for (int max_bins : {BinnedIndex::kMaxBins, 2, 5, 16}) {
+              const auto binned = BinnedIndex::Build(*index, max_bins);
+              ExpectSamePrimResult(
+                  ref, RunPrim(d, *v, config, index.get(), binned.get()),
+                  "threads=" + std::to_string(threads) +
+                      " seed=" + std::to_string(seed) +
+                      " fractional=" + std::to_string(fractional) +
+                      " distinct=" + std::to_string(distinct) +
+                      " separate_val=" + std::to_string(v != &d) +
+                      " max_bins=" + std::to_string(max_bins));
+            }
+          }
+        }
       }
     }
   }
 }
 
-TEST(PrimEquivalenceTest, BinnedBackendWithMoreRowsThanBins) {
+TEST(PrimEquivalenceTest, MoreRowsThanBinsMatchesReference) {
   // More rows than bins forces real quantization (multiple values per bin),
   // exercising the in-bin refinement on every peel.
   const Dataset d = MakeData(3000, 4, 131, /*fractional=*/true);
-  PrimConfig sorted_config;
-  sorted_config.backend = PrimPeelBackend::kSorted;
-  PrimConfig binned_config = sorted_config;
-  binned_config.backend = PrimPeelBackend::kBinned;
-  const PrimResult sorted_run = RunPrim(d, d, sorted_config);
-  const PrimResult binned_run = RunPrim(d, d, binned_config);
-  ExpectSamePrimResult(sorted_run, binned_run, "3000 rows");
+  PrimConfig config;
+  ExpectSamePrimResult(RunPrimReference(d, d, config), RunPrim(d, d, config),
+                       "3000 rows");
 }
 
 TEST(PrimEquivalenceTest, PrebuiltBinnedIndexMatchesPrivateBuild) {
@@ -179,16 +180,12 @@ TEST(PrimEquivalenceTest, ParallelCandidateEvaluationMatchesSerial) {
   // Enough rows that the in-box workload clears kPrimParallelMinWork for
   // many peels; the parallel path must select the identical peel sequence.
   const Dataset d = MakeData(9000, 6, 151, /*fractional=*/false);
-  for (PrimPeelBackend backend :
-       {PrimPeelBackend::kSorted, PrimPeelBackend::kBinned}) {
-    PrimConfig serial_config;
-    serial_config.backend = backend;
-    PrimConfig parallel_config = serial_config;
-    parallel_config.threads = 4;
-    const PrimResult serial_run = RunPrim(d, d, serial_config);
-    const PrimResult parallel_run = RunPrim(d, d, parallel_config);
-    ExpectSamePrimResult(serial_run, parallel_run, "parallel candidates");
-  }
+  PrimConfig serial_config;
+  PrimConfig parallel_config = serial_config;
+  parallel_config.threads = 4;
+  const PrimResult serial_run = RunPrim(d, d, serial_config);
+  const PrimResult parallel_run = RunPrim(d, d, parallel_config);
+  ExpectSamePrimResult(serial_run, parallel_run, "parallel candidates");
 }
 
 // Data whose best peels are mostly high-side cuts: positives sit low in
@@ -213,44 +210,29 @@ Dataset HighSideData(int n, uint64_t seed, bool fractional, int distinct) {
   return d;
 }
 
-TEST(PrimEquivalenceTest, BinnedHighSideCutsInsidePartlyEmptiedBins) {
+TEST(PrimEquivalenceTest, HighSideCutsInsidePartlyEmptiedBins) {
   // More rows than bins (and, with 900 distinct values, more values than
   // bins): high-side bounds land inside bins that earlier peels on other
-  // dimensions have partly emptied. Hard labels take the binned kernel's
-  // top-down suffix sum and must match the reference bit for bit;
-  // fractional labels take SumYTail and must match the sorted kernel bit
-  // for bit (the reference sums in row order, so only its geometry is
-  // compared exactly).
+  // dimensions have partly emptied. Hard labels take the top-down suffix
+  // sum from the bin cells, fractional labels the ascending tail sum; both
+  // must match the reference bit for bit.
   for (int distinct : {0, 900}) {
     for (double alpha : {0.03, 0.1}) {
       const std::string label = "distinct=" + std::to_string(distinct) +
                                 " alpha=" + std::to_string(alpha);
       PrimConfig config;
       config.alpha = alpha;
-      config.backend = PrimPeelBackend::kBinned;
-      PrimConfig sorted_config = config;
-      sorted_config.backend = PrimPeelBackend::kSorted;
-
       const Dataset hard = HighSideData(2500, 161, false, distinct);
       ExpectSamePrimResult(RunPrimReference(hard, hard, config),
                            RunPrim(hard, hard, config), "hard " + label);
-
       const Dataset frac = HighSideData(2500, 162, true, distinct);
-      const PrimResult binned = RunPrim(frac, frac, config);
-      ExpectSamePrimResult(RunPrim(frac, frac, sorted_config), binned,
-                           "fractional " + label);
-      const PrimResult ref = RunPrimReference(frac, frac, config);
-      ASSERT_EQ(ref.boxes.size(), binned.boxes.size()) << label;
-      for (size_t i = 0; i < ref.boxes.size(); ++i) {
-        EXPECT_TRUE(ref.boxes[i] == binned.boxes[i]) << label << " box " << i;
-        EXPECT_NEAR(ref.val_curve[i].precision, binned.val_curve[i].precision,
-                    1e-12);
-      }
+      ExpectSamePrimResult(RunPrimReference(frac, frac, config),
+                           RunPrim(frac, frac, config), "fractional " + label);
     }
   }
 }
 
-TEST(PrimEquivalenceTest, BinnedHighSideTiesAtTheTopAndConstantColumns) {
+TEST(PrimEquivalenceTest, HighSideTiesAtTheTopAndConstantColumns) {
   // Small boxes where x2's top value holds more than the cut (q >= n, the
   // fallback moves below the tied block) and x3 is constant in the box
   // (no candidate); a separate validation set and min_points = 5 let the
@@ -264,14 +246,8 @@ TEST(PrimEquivalenceTest, BinnedHighSideTiesAtTheTopAndConstantColumns) {
       PrimConfig config;
       config.alpha = 0.2;
       config.min_points = 5;
-      PrimConfig sorted_config = config;
-      sorted_config.backend = PrimPeelBackend::kSorted;
-      const PrimResult binned = RunPrim(train, val, config);
-      ExpectSamePrimResult(RunPrim(train, val, sorted_config), binned, label);
-      if (!fractional) {
-        ExpectSamePrimResult(RunPrimReference(train, val, config), binned,
-                             label + " vs reference");
-      }
+      ExpectSamePrimResult(RunPrimReference(train, val, config),
+                           RunPrim(train, val, config), label);
     }
   }
 }

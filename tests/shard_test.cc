@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -159,6 +160,42 @@ TEST(ShardWireTest, WorkerRejectsMoreBinBoundsThanCodesHold) {
   ASSERT_TRUE(WriteFrame(sv[0], MsgType::kBins, bins.data()).ok());
   // A worker that accepted the bins then reads EOF instead of hanging.
   ::shutdown(sv[0], SHUT_WR);
+  worker.join();
+  EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
+      << served.ToString();
+  ::close(sv[0]);
+  ::close(sv[1]);
+}
+
+TEST(ShardFleetTest, NonFiniteCellFailsTheFleetWithItsStatus) {
+  // A NaN in a worker's shard: the worker's sketch pass refuses it, and
+  // the coordinator fails with that InvalidArgument (naming the column)
+  // rather than with a summary it cannot decode.
+  Dataset d(3);
+  Rng rng(5);
+  for (int r = 0; r < 2000; ++r) {
+    const double x[3] = {rng.Uniform(),
+                         r == 1500 ? std::nan("") : rng.Uniform(),
+                         rng.Uniform()};
+    d.AddRow(x, rng.Bernoulli(0.3) ? 1.0 : 0.0);
+  }
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  Status served = Status::OK();
+  std::thread worker([&] {
+    MatrixSource source(std::make_shared<const Dataset>(std::move(d)));
+    served = RunShardWorker(sv[1], &source);
+  });
+  StreamedBuildOptions options;
+  options.block_rows = 256;
+  ShardCoordinator coordinator({sv[0]}, options);
+  const Status built = coordinator.BuildGlobalBins();
+  EXPECT_EQ(built.code(), Status::Code::kInvalidArgument) << built.ToString();
+  EXPECT_NE(built.message().find("column 1"), std::string::npos)
+      << built.ToString();
+  EXPECT_EQ(built.message().find("invalid tuple"), std::string::npos);
+  // Releases a worker that did not fail; a failed one has already left.
+  (void)coordinator.Shutdown();
   worker.join();
   EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
       << served.ToString();

@@ -182,27 +182,6 @@ TEST(SimdKernelsTest, HistogramQ16ExactlyEqualOnEveryPath) {
   }
 }
 
-TEST(SimdKernelsTest, GatherSumExactForIntegralLabels) {
-  // GatherSum's AVX2 path reorders additions, which is only invoked for
-  // integer-valued doubles -- where any association is exact below 2^53.
-  for (int n : kSizes) {
-    Rng rng(6000 + static_cast<uint64_t>(n));
-    std::vector<double> v(static_cast<size_t>(n));
-    std::vector<int> ids(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      v[static_cast<size_t>(i)] = rng.Bernoulli(0.3) ? 1.0 : 0.0;
-      ids[static_cast<size_t>(i)] = i;
-    }
-    rng.Shuffle(&ids);
-    const double reference = util::GatherSumReference(v.data(), ids.data(), n);
-    for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-      ScopedSimdLevel pin(level);
-      EXPECT_EQ(util::GatherSum(v.data(), ids.data(), n), reference)
-          << "n=" << n;
-    }
-  }
-}
-
 // Masked-kernel fixture: a value-sorted permutation segment over a padded
 // in-box bitmask, the exact shape of PRIM's binned boundary-bin scans.
 struct MaskedInput {

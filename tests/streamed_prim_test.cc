@@ -119,8 +119,7 @@ TEST(StreamedPrimTest, BitIdenticalToExactKernelOnDiscreteData) {
         std::make_shared<Dataset>(MakeData(2000, 4, 3, 21, fractional));
     PrimConfig config;
     config.alpha = 0.07;
-    config.backend = PrimPeelBackend::kSorted;
-    const PrimResult exact = RunPrim(*data, *data, config);
+    const PrimResult exact = RunPrimReference(*data, *data, config);
 
     MatrixSource source(data);
     auto streamed = BinnedIndex::BuildStreamed(&source);
@@ -128,6 +127,34 @@ TEST(StreamedPrimTest, BitIdenticalToExactKernelOnDiscreteData) {
     const PrimResult from_stream =
         RunPrimStreamed(*streamed->index, streamed->y, config);
     ExpectSamePrim(exact, from_stream);
+  }
+}
+
+TEST(StreamedBuildTest, NonFiniteCellIsRejectedNamingItsColumn) {
+  // Quantile sketches cannot order a NaN, so the build refuses the stream
+  // with InvalidArgument instead of producing a sketch no reader accepts.
+  // Serial and parallel sketch passes alike, whichever block holds it.
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    auto data = std::make_shared<Dataset>(MakeData(1000, 3, 6, 0));
+    Dataset copy(3);
+    for (int r = 0; r < data->num_rows(); ++r) {
+      double x[3] = {data->x(r, 0), data->x(r, 1), data->x(r, 2)};
+      if (r == 700) x[2] = bad;
+      copy.AddRow(x, data->y(r));
+    }
+    data = std::make_shared<Dataset>(std::move(copy));
+    for (int threads : {1, 3}) {
+      MatrixSource source(data);
+      StreamedBuildOptions options;
+      options.block_rows = 128;
+      options.threads = threads;
+      const auto streamed = BinnedIndex::BuildStreamed(&source, options);
+      ASSERT_FALSE(streamed.ok());
+      EXPECT_EQ(streamed.status().code(), Status::Code::kInvalidArgument);
+      EXPECT_NE(streamed.status().message().find("column 2"),
+                std::string::npos)
+          << streamed.status().ToString();
+    }
   }
 }
 
@@ -162,8 +189,7 @@ TEST(StreamedPrimTest, CsvStreamReproducesInMemoryBoxes) {
 TEST(StreamedPrimTest, BoundedErrorOnContinuousData) {
   const auto data = std::make_shared<Dataset>(MakeData(4000, 3, 5, 0));
   PrimConfig config;
-  config.backend = PrimPeelBackend::kSorted;
-  const PrimResult exact = RunPrim(*data, *data, config);
+  const PrimResult exact = RunPrimReference(*data, *data, config);
 
   MatrixSource source(data);
   auto streamed = BinnedIndex::BuildStreamed(&source);
@@ -262,7 +288,7 @@ void ExpectMatchesReference(const std::shared_ptr<const Dataset>& data,
   const StreamedDataset stream = StreamOf(data);
   const PrimResult reference =
       RunPrimStreamedReference(*stream.index, stream.y, config, val);
-  const auto totals = StreamedBinTotals::Build(*stream.index, stream.y);
+  const auto totals = StreamedBinTotals::Build(*stream.index, stream.y.data());
   ExpectBitwise(reference,
                 RunPrimStreamed(*stream.index, stream.y, config, val,
                                 totals.get()),

@@ -1,7 +1,7 @@
 // Equivalence contracts behind the warm-path optimizations:
-//  - streamed-fold CV tuning (row views over one shared full-data index)
-//    must pick the same grid cell -- and produce the same final model -- as
-//    the materialized reference plan that copies every fold matrix;
+//  - CV tuning (row views over one shared full-data index) must score every
+//    grid cell, pick the same cell and produce the same final model as the
+//    reference below, which copies every fold matrix;
 //  - FitOnRows on a shared index must be bit-identical to materializing the
 //    subset, for every tree family;
 //  - leaf-wise (best-first) growth with no leaf cap must reproduce the
@@ -9,11 +9,13 @@
 //    serialization round trip with its append-at-expansion node order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "ml/cart.h"
 #include "ml/gbt.h"
+#include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "ml/tuning.h"
 #include "util/rng.h"
@@ -50,9 +52,65 @@ void ExpectSamePredictions(const ml::Metamodel& a, const ml::Metamodel& b,
   }
 }
 
-TEST(StreamedTuningTest, SameWinnerAndModelAsMaterializedAcrossSeeds) {
-  // Presorted backend: fold views are exact, so the streamed plan must be
-  // bit-identical to the materialized reference -- same per-cell CV losses,
+// The reference tuning plan: every fold's training rows are copied with
+// SubsetRows and each grid cell is fit on the copy, with TuneAndFit's fold
+// assignment, seed streams and held-out log-loss. Returns the per-cell CV
+// losses and the refit winner (first minimum wins).
+std::unique_ptr<ml::Metamodel> TuneOnFoldCopies(ml::MetamodelKind kind,
+                                                const Dataset& d,
+                                                uint64_t seed,
+                                                const ml::TuningConfig& config,
+                                                std::vector<double>* losses) {
+  const std::vector<int> fold =
+      ml::FoldAssignment(d.num_rows(), config.folds, seed);
+  const int cells = ml::TuningGridSize(kind, d.num_cols(), config);
+  losses->assign(static_cast<size_t>(cells), 0.0);
+  for (int g = 0; g < cells; ++g) {
+    const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
+    uint64_t f_index = 0;
+    for (int f = 0; f < config.folds; ++f) {
+      std::vector<int> train_rows, test_rows;
+      for (int r = 0; r < d.num_rows(); ++r) {
+        (fold[static_cast<size_t>(r)] == f ? test_rows : train_rows)
+            .push_back(r);
+      }
+      if (train_rows.empty() || test_rows.empty()) continue;
+      auto model = ml::TuningCellModel(kind, g, d.num_cols(), config);
+      model->Fit(d.SubsetRows(train_rows), DeriveSeed(g_seed, f_index + 101));
+      ++f_index;
+      std::vector<double> prob, y;
+      for (int r : test_rows) {
+        prob.push_back(model->PredictProb(d.row(r)));
+        y.push_back(d.y(r) > 0.5 ? 1.0 : 0.0);
+      }
+      (*losses)[static_cast<size_t>(g)] += ml::LogLoss(prob, y);
+    }
+    (*losses)[static_cast<size_t>(g)] /= config.folds;
+  }
+  const auto best = std::min_element(losses->begin(), losses->end());
+  return ml::TuningCellFit(kind, static_cast<int>(best - losses->begin()), d,
+                           seed, config);
+}
+
+// Per-cell losses, winner and refit of TuneAndFit against TuneOnFoldCopies.
+void ExpectSameTuning(ml::MetamodelKind kind, const Dataset& d, uint64_t seed,
+                      const ml::TuningConfig& config, const Dataset& probe,
+                      const char* what) {
+  std::vector<double> losses;
+  const auto reference = TuneOnFoldCopies(kind, d, seed, config, &losses);
+  for (size_t g = 0; g < losses.size(); ++g) {
+    EXPECT_EQ(ml::TuningCellLoss(kind, static_cast<int>(g), d, seed, config),
+              losses[g])
+        << what << " cell " << g;
+  }
+  const auto tuned = ml::TuneAndFit(kind, d, seed, config);
+  ASSERT_NE(tuned, nullptr);
+  ExpectSamePredictions(*tuned, *reference, probe, what);
+}
+
+TEST(StreamedTuningTest, SameWinnerAndModelAsFoldCopiesAcrossSeeds) {
+  // Presorted backend: fold views are exact, so tuning must be
+  // bit-identical to the fold-copy reference -- same per-cell CV losses,
   // same winner, same refit.
   const Dataset d = MakeData(500, 4, 301);
   const Dataset probe = MakeData(200, 4, 302);
@@ -60,37 +118,25 @@ TEST(StreamedTuningTest, SameWinnerAndModelAsMaterializedAcrossSeeds) {
        {ml::MetamodelKind::kGbt, ml::MetamodelKind::kRandomForest,
         ml::MetamodelKind::kSvm}) {
     for (uint64_t seed : {11u, 23u, 37u}) {
-      ml::TuningConfig streamed;
-      streamed.folds = 3;
-      streamed.fold_plan = ml::CvFoldPlan::kStreamed;
-      ml::TuningConfig materialized = streamed;
-      materialized.fold_plan = ml::CvFoldPlan::kMaterialized;
-      const auto a = ml::TuneAndFit(kind, d, seed, streamed);
-      const auto b = ml::TuneAndFit(kind, d, seed, materialized);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      ExpectSamePredictions(*a, *b, probe, "presorted");
+      ml::TuningConfig config;
+      config.folds = 3;
+      ExpectSameTuning(kind, d, seed, config, probe, "presorted");
     }
   }
 }
 
 TEST(StreamedTuningTest, SameModelOnHistogramBackendWithinBinBudget) {
   // Exact-pack regime (40 distinct values << 256 bins): the full-data
-  // quantization the streamed folds share agrees with any fold-built one,
-  // so histogram tuning is bit-identical across plans too.
+  // quantization the fold views share agrees with any fold-built one, so
+  // histogram tuning is bit-identical to the fold-copy reference too.
   const Dataset d = MakeData(600, 4, 311, /*fractional=*/false, 40);
   const Dataset probe = MakeData(200, 4, 312);
   for (uint64_t seed : {7u, 19u}) {
-    ml::TuningConfig streamed;
-    streamed.folds = 3;
-    streamed.backend = ml::SplitBackend::kHistogram;
-    streamed.fold_plan = ml::CvFoldPlan::kStreamed;
-    ml::TuningConfig materialized = streamed;
-    materialized.fold_plan = ml::CvFoldPlan::kMaterialized;
-    const auto a = ml::TuneAndFit(ml::MetamodelKind::kGbt, d, seed, streamed);
-    const auto b =
-        ml::TuneAndFit(ml::MetamodelKind::kGbt, d, seed, materialized);
-    ExpectSamePredictions(*a, *b, probe, "histogram");
+    ml::TuningConfig config;
+    config.folds = 3;
+    config.backend = ml::SplitBackend::kHistogram;
+    ExpectSameTuning(ml::MetamodelKind::kGbt, d, seed, config, probe,
+                     "histogram");
   }
 }
 
