@@ -715,9 +715,7 @@ KernelResult BenchRedsRelabelStreamed(const PerfFlags& flags) {
   config.num_new_points = flags.l_points;
   config.sampler = GridSampler(128);
   config.metamodel_provider = [prefit](const Dataset&, ml::MetamodelKind,
-                                       bool, ml::TuningBudget,
-                                       ml::SplitBackend, ml::GrowthPolicy,
-                                       int, uint64_t) {
+                                       bool, ml::TuningBudget, uint64_t) {
     return prefit;
   };
   result.detail = "L=" + std::to_string(flags.l_points) +
@@ -989,48 +987,6 @@ KernelResult BenchBi(const PerfFlags& flags) {
   result.optimized_seconds =
       TimeBest(flags.reps, [&] { opt = RunBi(d, config); });
   result.identical = ref.box == opt.box;
-  return result;
-}
-
-// --- GBT growth policies: depth-wise depth-8 trees (up to 255 leaves per --
-// round) vs leaf-wise growth capped at 64 best-gain leaves. Best-first
-// expansion spends its leaf budget where the gain is, so the capped tree
-// matches the deeper one on held-out loss while expanding ~4x fewer
-// nodes -- the quality delta is measured on a held-out probe, not the
-// training set, precisely because the extra depth-wise leaves buy mostly
-// memorization.
-KernelResult BenchGbtLeafwise(const PerfFlags& flags) {
-  KernelResult result;
-  result.name = "gbt_leafwise";
-  result.approximate = true;
-  result.quality_tolerance = 0.1;
-  const int n = flags.quick ? flags.l_points : 100000;
-  const Dataset d = RandomData(n, flags.dims, flags.seed + 18);
-  const Dataset probe = RandomData(4096, flags.dims, flags.seed + 19);
-  ml::GbtConfig depth_wise;
-  depth_wise.num_rounds = flags.quick ? 20 : 50;
-  depth_wise.max_depth = 8;
-  depth_wise.backend = ml::SplitBackend::kHistogram;
-  ml::GbtConfig leaf_wise = depth_wise;
-  leaf_wise.growth = ml::GrowthPolicy::kLeafWise;
-  leaf_wise.max_leaves = 64;
-  result.detail = "n=" + std::to_string(n) +
-                  " d=" + std::to_string(flags.dims) +
-                  " rounds=" + std::to_string(depth_wise.num_rounds) +
-                  " depth8-vs-64leaf";
-
-  const auto index = ColumnIndex::Build(d);
-  const auto binned = BinnedIndex::Build(*index);
-  ml::GradientBoostedTrees ref(depth_wise), opt(leaf_wise);
-  result.reference_seconds = TimeBest(flags.reps, [&] {
-    ref.Fit(d, flags.seed + 20, index.get(), binned.get());
-  });
-  result.optimized_seconds = TimeBest(flags.reps, [&] {
-    opt.Fit(d, flags.seed + 20, index.get(), binned.get());
-  });
-  result.quality_delta =
-      std::fabs(TrainLogLoss(ref, probe) - TrainLogLoss(opt, probe));
-  result.identical = result.quality_delta == 0.0;
   return result;
 }
 
@@ -1567,7 +1523,6 @@ int main(int argc, char** argv) {
   maybe("method_reds_streamed_e2e",
         [&] { return BenchMethodRedsStreamed(flags); });
   maybe("metrics_overhead", [&] { return BenchMetricsOverhead(flags); });
-  maybe("gbt_leafwise", [&] { return BenchGbtLeafwise(flags); });
   maybe("engine_coalesced_batch",
         [&] { return BenchEngineCoalescedBatch(flags); });
   maybe("shard_scaling", [&] { return BenchShardScaling(flags); });

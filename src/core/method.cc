@@ -190,9 +190,6 @@ RedsConfig RedsConfigFor(const MethodSpec& spec, const RunOptions& options) {
   config.num_new_points = spec.family == MethodSpec::Family::kBi
                               ? options.l_bi
                               : options.l_prim;
-  config.split_backend = options.split_backend;
-  config.tree_growth = options.tree_growth;
-  config.tree_max_leaves = options.tree_max_leaves;
   config.sampler = options.sampler;
   config.metamodel_provider = options.metamodel_provider;
   return config;
@@ -216,9 +213,6 @@ uint64_t StreamedRelabelKey(const Dataset& train, const MethodSpec& spec,
   w.U8(spec.probability_labels ? 1 : 0);
   w.U8(options.tune_metamodel ? 1 : 0);
   w.U8(static_cast<uint8_t>(options.budget));
-  w.U8(static_cast<uint8_t>(options.split_backend));
-  w.U8(static_cast<uint8_t>(options.tree_growth));
-  w.I32(options.tree_max_leaves);
   w.I32(num_new_points);
   w.I32(options.stream_block_rows);
   w.U64(options.seed);

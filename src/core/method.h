@@ -66,14 +66,6 @@ struct RunOptions {
   int cv_folds = 5;
   bool tune_metamodel = true;
   ml::TuningBudget budget = ml::TuningBudget::kQuick;
-  /// Split-search kernel of the tree metamodels (REDS "f"/"x" variants),
-  /// threaded through FitDefault and the tuning grid alike.
-  ml::SplitBackend split_backend = ml::SplitBackend::kPresorted;
-  /// Tree growth order of the tree metamodels (histogram backend only;
-  /// see ml/histogram.h), threaded the same way as split_backend and part
-  /// of every cached model's identity.
-  ml::GrowthPolicy tree_growth = ml::GrowthPolicy::kDepthWise;
-  int tree_max_leaves = 0;  // leaf-wise cap per tree; 0 = unlimited
   sampling::PointSampler sampler;  // REDS new-point distribution (default uniform)
   uint64_t seed = 0;
   /// Optional engine hook: REDS methods obtain their metamodel from this

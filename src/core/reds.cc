@@ -16,16 +16,13 @@ std::shared_ptr<const ml::Metamodel> FitMetamodel(const Dataset& d,
                                                   uint64_t seed) {
   if (config.metamodel_provider) {
     // The provider (engine cache) traces its own hit/load/fit breakdown.
-    return config.metamodel_provider(
-        d, config.metamodel, config.tune_metamodel, config.budget,
-        config.split_backend, config.tree_growth, config.tree_max_leaves,
-        seed);
+    return config.metamodel_provider(d, config.metamodel,
+                                     config.tune_metamodel, config.budget,
+                                     seed);
   }
   obs::Span span("metamodel.fit");
   return ml::FitMetamodel(config.metamodel, d, seed, config.tune_metamodel,
-                          config.budget, nullptr, nullptr,
-                          config.split_backend, config.tree_growth,
-                          config.tree_max_leaves);
+                          config.budget);
 }
 
 Dataset LabelPoints(const ml::Metamodel& model, std::vector<double> x,

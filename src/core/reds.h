@@ -11,7 +11,6 @@
 
 #include "core/dataset.h"
 #include "core/dataset_source.h"
-#include "ml/histogram.h"
 #include "ml/model.h"
 #include "ml/tuning.h"
 #include "sampling/design.h"
@@ -20,26 +19,17 @@ namespace reds {
 
 /// Supplies the trained metamodel for a REDS run. The discovery engine
 /// installs one backed by its cross-request cache; when empty, REDS fits
-/// inline with TuneAndFit/FitDefault. `backend` selects the tree learners'
-/// split-search kernel and -- like `growth`/`max_leaves`, the tree growth
-/// order -- is part of the trained model's identity.
+/// inline with TuneAndFit/FitDefault. The arguments are the trained model's
+/// whole identity: how the provider fits (split-search kernel, indexes) is
+/// its own choice and must not change the fitted model.
 using MetamodelProvider = std::function<std::shared_ptr<const ml::Metamodel>(
     const Dataset& train, ml::MetamodelKind kind, bool tune,
-    ml::TuningBudget budget, ml::SplitBackend backend,
-    ml::GrowthPolicy growth, int max_leaves, uint64_t seed)>;
+    ml::TuningBudget budget, uint64_t seed)>;
 
 struct RedsConfig {
   ml::MetamodelKind metamodel = ml::MetamodelKind::kGbt;
   bool tune_metamodel = true;         // caret-style CV grid (paper 8.4.3)
   ml::TuningBudget budget = ml::TuningBudget::kQuick;
-  /// Split search of the tree metamodels ("f"/"x"). Presorted is exact;
-  /// histogram trades exactness beyond 256 distinct values per feature for
-  /// O(bins) split scans.
-  ml::SplitBackend split_backend = ml::SplitBackend::kPresorted;
-  /// Tree growth order of the tree metamodels (histogram backend only; see
-  /// ml/histogram.h). Part of the trained model's identity.
-  ml::GrowthPolicy tree_growth = ml::GrowthPolicy::kDepthWise;
-  int tree_max_leaves = 0;  // leaf-wise cap per tree; 0 = unlimited
   bool probability_labels = false;    // "p": y_new = f_am(x) in [0,1]
   int num_new_points = 100000;        // L
   sampling::PointSampler sampler;     // defaults to i.i.d. uniform

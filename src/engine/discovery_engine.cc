@@ -31,14 +31,10 @@ uint64_t CanonicalSeed(uint64_t engine_seed, const MetamodelKey& key) {
   stream = DeriveSeed(stream, 0x11ULL + static_cast<uint64_t>(key.kind));
   stream = DeriveSeed(stream, 0x23ULL + (key.tuned ? 1ULL : 0ULL));
   stream = DeriveSeed(stream, 0x31ULL + static_cast<uint64_t>(key.budget));
-  stream = DeriveSeed(stream, 0x41ULL + static_cast<uint64_t>(key.backend));
-  // Growth fields joined the key after seeds shipped: mix them in only
-  // when non-default, so every depth-wise model keeps the exact seed (and
-  // therefore the exact bits) it had before leaf-wise growth existed.
-  if (key.growth != ml::GrowthPolicy::kDepthWise || key.max_leaves != 0) {
-    stream = DeriveSeed(stream, 0x51ULL + static_cast<uint64_t>(key.growth));
-    stream = DeriveSeed(stream, 0x61ULL + static_cast<uint64_t>(key.max_leaves));
-  }
+  // The key once carried the split backend, mixed as 0x41 + backend; every
+  // engine fit ran presorted (1). Keep mixing that constant so each model
+  // keeps the exact seed (and therefore the exact bits) it always had.
+  stream = DeriveSeed(stream, 0x42ULL);
   return DeriveSeed(engine_seed, stream);
 }
 
@@ -331,9 +327,6 @@ bool DiscoveryEngine::ComputeCoalesceKey(const DiscoveryRequest& req,
   w.I32(o.cv_folds);
   w.U8(o.tune_metamodel ? 1 : 0);
   w.U8(static_cast<uint8_t>(o.budget));
-  w.U8(static_cast<uint8_t>(o.split_backend));
-  w.U8(static_cast<uint8_t>(o.tree_growth));
-  w.I32(o.tree_max_leaves);
   w.U8(o.sampler ? 1 : 0);
   w.U64(o.seed);
   w.U8(static_cast<uint8_t>(o.data_plan));
@@ -552,12 +545,11 @@ int DiscoveryEngine::relabel_stream_cache_size() const {
 void DiscoveryEngine::InstallRelabelStreamHook(RunOptions* options) {
   // The method layer's key covers the request recipe (training bytes,
   // metamodel recipe, seed, stream length, block size, sampler identity)
-  // but not how this engine actually labels: with cache_metamodels on, the
-  // metamodel is seeded canonically from config_.seed, not from the
-  // request seed, so the labels depend on both knobs. Fold them in so two
-  // engines configured differently never share an entry.
-  const uint64_t engine_salt =
-      DeriveSeed(config_.seed, config_.cache_metamodels ? 1 : 2);
+  // but not how this engine actually labels: the metamodel is seeded
+  // canonically from config_.seed, not from the request seed, so the labels
+  // depend on it. Fold it in so two engines seeded differently never share
+  // an entry.
+  const uint64_t engine_salt = DeriveSeed(config_.seed, 1);
   options->streamed_relabel_cache =
       [this, engine_salt](
           uint64_t key, int expect_rows, int expect_cols,
@@ -590,17 +582,13 @@ BinnedIndexProvider DiscoveryEngine::MakeBinnedIndexProvider() {
 
 MetamodelProvider DiscoveryEngine::MakeCachingProvider() {
   return [this](const Dataset& train, ml::MetamodelKind kind, bool tune,
-                ml::TuningBudget budget, ml::SplitBackend backend,
-                ml::GrowthPolicy growth, int max_leaves,
-                uint64_t /*request_seed*/) -> std::shared_ptr<const ml::Metamodel> {
+                ml::TuningBudget budget, uint64_t /*request_seed*/)
+             -> std::shared_ptr<const ml::Metamodel> {
     MetamodelKey key;
     key.fingerprint = FingerprintDataset(train);
     key.kind = kind;
     key.tuned = tune;
     key.budget = budget;
-    key.backend = backend;
-    key.growth = growth;
-    key.max_leaves = max_leaves;
     key.seed = CanonicalSeed(config_.seed, key);
     bool missed = false;
     std::shared_ptr<const ml::Metamodel> model = metamodels_.Get(
@@ -617,27 +605,19 @@ MetamodelProvider DiscoveryEngine::MakeCachingProvider() {
           return disk_->LoadMetamodel(key);
         },
         [&]() -> std::shared_ptr<const ml::Metamodel> {
-          // Tree metamodels reuse the engine's shared columnar index (and
-          // quantization, under the histogram backend) of the training
-          // data: untuned fits feed them straight to the split search,
-          // tuned fits stream their CV folds as row views over them
+          // Tree metamodels reuse the engine's shared columnar index of
+          // the training data: untuned fits feed it straight to the split
+          // search, tuned fits stream their CV folds as row views over it
           // (ml/tuning.h) -- identical results to privately built views
           // either way.
           std::shared_ptr<const ColumnIndex> index;
-          std::shared_ptr<const BinnedIndex> binned;
           if (config_.cache_column_indexes &&
               kind != ml::MetamodelKind::kSvm) {
             index = GetColumnIndex(train);
-            if (config_.cache_binned_indexes &&
-                backend == ml::SplitBackend::kHistogram) {
-              binned = GetBinnedIndex(train);
-            }
           }
           obs::Span span("metamodel.fit");
-          return std::shared_ptr<const ml::Metamodel>(
-              ml::FitMetamodel(kind, train, key.seed, tune, budget,
-                               index.get(), binned.get(), backend, growth,
-                               max_leaves));
+          return std::shared_ptr<const ml::Metamodel>(ml::FitMetamodel(
+              kind, train, key.seed, tune, budget, index.get()));
         },
         [&](const ml::Metamodel& fitted) {
           if (disk_ != nullptr) disk_->StoreMetamodel(key, fitted);
@@ -729,13 +709,13 @@ void DiscoveryEngine::Execute(const JobHandle& job) {
     // results land in the shared cache tiers and must be
     // engine-consistent.
     RunOptions options = req.options;
-    if (config_.cache_metamodels && spec->reds && !options.metamodel_provider) {
+    if (spec->reds && !options.metamodel_provider) {
       options.metamodel_provider = MakeCachingProvider();
     }
     if (config_.cache_column_indexes && !options.column_index_provider) {
       options.column_index_provider = MakeColumnIndexProvider();
     }
-    if (config_.cache_binned_indexes && !options.binned_index_provider) {
+    if (!options.binned_index_provider) {
       options.binned_index_provider = MakeBinnedIndexProvider();
     }
     if (config_.cache_relabel_streams && spec->reds &&

@@ -34,7 +34,6 @@ namespace reds::engine {
 
 struct EngineConfig {
   int threads = 0;              // 0: hardware concurrency
-  bool cache_metamodels = true;
   /// Single-flight job coalescing: identical in-flight requests (same
   /// training bytes, method, and result-shaping options) attach to the
   /// first one's job instead of taking a worker -- N concurrent identical
@@ -53,9 +52,8 @@ struct EngineConfig {
   bool cache_column_indexes = true;
   size_t column_index_cache_capacity = 32;  // LRU bound; 0 = unbounded
   /// Shared per-dataset BinnedIndex cache (the quantized data plane):
-  /// binned PRIM peeling and histogram tree fits over the same inputs
-  /// quantize once. Keyed by the same input-only fingerprint.
-  bool cache_binned_indexes = true;
+  /// PRIM peeling over the same inputs quantizes once. Keyed by the same
+  /// input-only fingerprint.
   size_t binned_index_cache_capacity = 32;  // LRU bound; 0 = unbounded
   /// Shared relabel-stream cache: the finished product of a streamed REDS
   /// relabeling (quantized index + O(L) labels), keyed by everything that

@@ -19,11 +19,12 @@ namespace {
 
 // File layout: magic, format version, algorithm revision, payload size,
 // payload, FNV-64 of the payload. The payload itself opens with an echo of
-// the cache key.
+// the cache key. Bump kFormatVersion whenever this layout or the key echo
+// changes, so files in the old layout are rejected rather than misread.
 constexpr uint64_t kIndexMagic = 0x5245445342494458ULL;   // "REDSBIDX"
 constexpr uint64_t kModelMagic = 0x524544534d4f444cULL;   // "REDSMODL"
 constexpr uint64_t kRelabelMagic = 0x52454453524c4253ULL; // "REDSRLBS"
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 
 // Revision of the *producing algorithms* (quantile packing, metamodel
 // training), not the wire layout: a cached artifact is only valid if the
@@ -62,9 +63,6 @@ void WriteKeyEcho(const MetamodelKey& key, util::ByteWriter* out) {
   out->U8(static_cast<uint8_t>(key.kind));
   out->U8(key.tuned ? 1 : 0);
   out->U8(static_cast<uint8_t>(key.budget));
-  out->U8(static_cast<uint8_t>(key.backend));
-  out->U8(static_cast<uint8_t>(key.growth));
-  out->I32(key.max_leaves);
   out->U64(key.seed);
 }
 
@@ -82,17 +80,11 @@ bool ReadKeyEchoMatches(const MetamodelKey& key, util::ByteReader* in) {
   const uint8_t kind = in->U8();
   const uint8_t tuned = in->U8();
   const uint8_t budget = in->U8();
-  const uint8_t backend = in->U8();
-  const uint8_t growth = in->U8();
-  const int32_t max_leaves = in->I32();
   const uint64_t seed = in->U64();
   return in->ok() && fingerprint == key.fingerprint &&
          kind == static_cast<uint8_t>(key.kind) &&
          tuned == (key.tuned ? 1 : 0) &&
-         budget == static_cast<uint8_t>(key.budget) &&
-         backend == static_cast<uint8_t>(key.backend) &&
-         growth == static_cast<uint8_t>(key.growth) &&
-         max_leaves == key.max_leaves && seed == key.seed;
+         budget == static_cast<uint8_t>(key.budget) && seed == key.seed;
 }
 
 }  // namespace

@@ -25,26 +25,19 @@
 namespace reds::engine {
 
 /// Identity of one trained metamodel: the key of the engine's metamodel
-/// tier and of its files here. The split backend is part of the
-/// identity: histogram-trained trees differ from presorted/exact ones
-/// beyond 256 distinct values per feature, so they must not share entries.
-/// So is the tree growth order: leaf-wise trees (and any max_leaves cap)
-/// are a different model whenever gains tie or the cap binds.
+/// tier and of its files here. It names what is fitted, not how: the
+/// engine's provider picks the split-search kernel and the indexes, and
+/// must fit the same model whichever it picks.
 struct MetamodelKey {
   uint64_t fingerprint = 0;  // FingerprintDataset of the training data
   ml::MetamodelKind kind = ml::MetamodelKind::kGbt;
   bool tuned = false;
   ml::TuningBudget budget = ml::TuningBudget::kQuick;
-  ml::SplitBackend backend = ml::SplitBackend::kPresorted;
-  ml::GrowthPolicy growth = ml::GrowthPolicy::kDepthWise;
-  int max_leaves = 0;
   uint64_t seed = 0;
 
   friend bool operator<(const MetamodelKey& a, const MetamodelKey& b) {
-    return std::tie(a.fingerprint, a.kind, a.tuned, a.budget, a.backend,
-                    a.growth, a.max_leaves, a.seed) <
-           std::tie(b.fingerprint, b.kind, b.tuned, b.budget, b.backend,
-                    b.growth, b.max_leaves, b.seed);
+    return std::tie(a.fingerprint, a.kind, a.tuned, a.budget, a.seed) <
+           std::tie(b.fingerprint, b.kind, b.tuned, b.budget, b.seed);
   }
 };
 

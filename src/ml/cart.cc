@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <queue>
 
 #include "ml/order_partition.h"
 #include "ml/tree_wire.h"
@@ -118,11 +117,7 @@ void RegressionTree::Fit(const Dataset& d, const std::vector<int>& rows,
     if (config.threads > 1 && ctx.num_features > 1) {
       ctx.pool = std::make_unique<ThreadPool>(config.threads);
     }
-    if (config.growth == GrowthPolicy::kLeafWise) {
-      BuildHistogramLeafWise(&ctx, 0, n);
-    } else {
-      BuildHistogram(&ctx, 0, n, 0, {});
-    }
+    BuildHistogram(&ctx, 0, n, 0, {});
     return;
   }
 
@@ -439,197 +434,6 @@ int RegressionTree::BuildHistogram(FitContext* ctx, int begin, int end,
   nodes_[static_cast<size_t>(node_index)].left = left;
   nodes_[static_cast<size_t>(node_index)].right = right;
   return node_index;
-}
-
-// Best-first growth on the histogram backend (see GrowthPolicy in
-// ml/histogram.h): open leaves are evaluated at creation and expanded in
-// max-gain order from a priority queue, so a max_leaves cap spends the
-// budget on the highest-gain frontier. A node's position segment depends
-// only on its ancestors' partitions, which precede it in any expansion
-// order, so each expanded node computes bit-identical sums, candidates,
-// and partitions to the depth-wise recursion; uncapped with untied gains
-// the fitted function is identical. Under mtry the parent-minus-sibling
-// reuse is off (per-node candidate sets), exactly as in BuildHistogram.
-int RegressionTree::BuildHistogramLeafWise(FitContext* ctx, int begin,
-                                           int end) {
-  const TreeConfig& config = *ctx->config;
-  const size_t stride = static_cast<size_t>(ctx->hist_stride);
-  const size_t n_total = static_cast<size_t>(ctx->n);
-
-  struct OpenLeaf {
-    int node = -1;
-    int begin = 0;
-    int end = 0;
-    int depth = 0;
-    double sum = 0.0;
-    std::vector<HistBin> hist;  // subtract mode only
-    SplitCandidate best;
-  };
-
-  auto accumulate = [&](int b, int e, const std::vector<int>& features) {
-    std::vector<HistBin> hist = ctx->hist_pool->Acquire();
-    const int* ids = ctx->pos_of.data() + b;
-    for (int f : features) {
-      HistBin* slot = hist.data() + static_cast<size_t>(f) * stride;
-      std::fill_n(slot, ctx->binned->num_bins(f), HistBin{});
-      AccumulateHistogram(&ctx->codes[static_cast<size_t>(f) * n_total], ids,
-                          e - b, ctx->yv.data(), slot);
-    }
-    return hist;
-  };
-  // Same candidate scan as BuildHistogram's search_feature.
-  auto search = [&](const std::vector<HistBin>& hist,
-                    const std::vector<int>& features, double sum, int n) {
-    auto search_feature = [&](size_t fi) {
-      SplitCandidate cand;
-      const int f = features[fi];
-      const HistBin* hb = hist.data() + static_cast<size_t>(f) * stride;
-      const HistogramSplit s = ScanHistogramSplits(
-          hb, ctx->binned->num_bins(f), f, sum, n, config.min_samples_leaf,
-          0.0, [&](int b) { return ctx->binned->bin_first(f, b); },
-          [&](int b) { return ctx->binned->bin_last(f, b); });
-      cand.feature = s.feature;
-      cand.threshold = s.threshold;
-      cand.gain = s.feature >= 0 ? s.gain : 0.0;
-      cand.left_count = s.left_count;
-      return cand;
-    };
-    return BestSplitOverFeatures<SplitCandidate>(ctx->pool.get(),
-                                                 features.size(), n,
-                                                 search_feature);
-  };
-
-  std::vector<OpenLeaf> open;
-  // (gain, -slot): ties prefer the earliest-created slot, deterministically.
-  std::priority_queue<std::pair<double, int>> queue;
-
-  // Creates the node; when splittable, evaluates its best candidate and
-  // enqueues it. In subtract mode the histogram buffer stays with the open
-  // leaf (the expansion derives the children from it); under mtry the
-  // buffer is released right after the search, as children redraw features.
-  auto make_node = [&](int b, int e, int depth,
-                       std::vector<HistBin> hist) -> int {
-    const int n = e - b;
-    double sum = 0.0, sum_sq = 0.0;
-    for (int i = b; i < e; ++i) {
-      const double y =
-          ctx->yv[static_cast<size_t>(ctx->pos_of[static_cast<size_t>(i)])];
-      sum += y;
-      sum_sq += y * y;
-    }
-    const int node_index = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    nodes_[static_cast<size_t>(node_index)].value = sum / n;
-
-    const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
-    const double sse = sum_sq - sum * sum / n;
-    if (!depth_ok || n < config.min_samples_split || sse <= config.min_gain) {
-      if (!hist.empty()) ctx->hist_pool->Release(std::move(hist));
-      return node_index;
-    }
-
-    std::vector<int> features;
-    if (config.mtry > 0 && config.mtry < ctx->num_features) {
-      features =
-          ctx->rng->SampleWithoutReplacement(ctx->num_features, config.mtry);
-    } else {
-      features.resize(static_cast<size_t>(ctx->num_features));
-      std::iota(features.begin(), features.end(), 0);
-    }
-    if (hist.empty()) hist = accumulate(b, e, features);
-    const SplitCandidate best = search(hist, features, sum, n);
-    if (best.feature < 0 || best.gain <= config.min_gain) {
-      ctx->hist_pool->Release(std::move(hist));
-      return node_index;
-    }
-    OpenLeaf leaf;
-    leaf.node = node_index;
-    leaf.begin = b;
-    leaf.end = e;
-    leaf.depth = depth;
-    leaf.sum = sum;
-    leaf.best = best;
-    if (ctx->subtract) {
-      leaf.hist = std::move(hist);
-    } else {
-      ctx->hist_pool->Release(std::move(hist));
-    }
-    const int slot = static_cast<int>(open.size());
-    open.push_back(std::move(leaf));
-    queue.emplace(open[static_cast<size_t>(slot)].best.gain, -slot);
-    return node_index;
-  };
-
-  make_node(begin, end, 0, {});
-  int num_leaves = 1;
-  while (!queue.empty() &&
-         (config.max_leaves <= 0 || num_leaves < config.max_leaves)) {
-    const int slot = -queue.top().second;
-    queue.pop();
-    OpenLeaf leaf = std::move(open[static_cast<size_t>(slot)]);
-
-    const double* best_col =
-        &ctx->xv[static_cast<size_t>(leaf.best.feature) * n_total];
-    int nl = 0;
-    for (int i = leaf.begin; i < leaf.end; ++i) {
-      const int pos = ctx->pos_of[static_cast<size_t>(i)];
-      const uint8_t left = best_col[pos] <= leaf.best.threshold ? 1 : 0;
-      ctx->goes_left[static_cast<size_t>(pos)] = left;
-      nl += left;
-    }
-    const int mid = leaf.begin + nl;
-    if (mid == leaf.begin || mid == leaf.end) {
-      if (!leaf.hist.empty()) ctx->hist_pool->Release(std::move(leaf.hist));
-      continue;  // degenerate (ties): the node stays a leaf
-    }
-    std::partition(ctx->pos_of.data() + leaf.begin,
-                   ctx->pos_of.data() + leaf.end, [&](int pos) {
-                     return ctx->goes_left[static_cast<size_t>(pos)] != 0;
-                   });
-
-    int left_node, right_node;
-    if (!ctx->subtract) {
-      left_node = make_node(leaf.begin, mid, leaf.depth + 1, {});
-      right_node = make_node(mid, leaf.end, leaf.depth + 1, {});
-    } else {
-      // Scan the smaller child; the larger inherits parent - sibling in the
-      // parent's buffer. Candidate features are all features here (subtract
-      // mode), so both children's search slots are populated.
-      const bool left_small = mid - leaf.begin <= leaf.end - mid;
-      const int small_begin = left_small ? leaf.begin : mid;
-      const int small_end = left_small ? mid : leaf.end;
-      std::vector<int> all(static_cast<size_t>(ctx->num_features));
-      std::iota(all.begin(), all.end(), 0);
-      std::vector<HistBin> small = accumulate(small_begin, small_end, all);
-      for (int f = 0; f < ctx->num_features; ++f) {
-        HistBin* parent = leaf.hist.data() + static_cast<size_t>(f) * stride;
-        SubtractHistogram(parent,
-                          small.data() + static_cast<size_t>(f) * stride,
-                          parent, ctx->binned->num_bins(f));
-      }
-      std::vector<HistBin> left_hist =
-          left_small ? std::move(small) : std::move(leaf.hist);
-      std::vector<HistBin> right_hist =
-          left_small ? std::move(leaf.hist) : std::move(small);
-      left_node =
-          make_node(leaf.begin, mid, leaf.depth + 1, std::move(left_hist));
-      right_node =
-          make_node(mid, leaf.end, leaf.depth + 1, std::move(right_hist));
-    }
-    nodes_[static_cast<size_t>(leaf.node)].feature = leaf.best.feature;
-    nodes_[static_cast<size_t>(leaf.node)].threshold = leaf.best.threshold;
-    nodes_[static_cast<size_t>(leaf.node)].left = left_node;
-    nodes_[static_cast<size_t>(leaf.node)].right = right_node;
-    ++num_leaves;
-  }
-  while (!queue.empty()) {
-    const int slot = -queue.top().second;
-    queue.pop();
-    if (!open[static_cast<size_t>(slot)].hist.empty()) {
-      ctx->hist_pool->Release(std::move(open[static_cast<size_t>(slot)].hist));
-    }
-  }
-  return 0;
 }
 
 int RegressionTree::BuildReference(const Dataset& d, std::vector<int>* rows,

@@ -34,16 +34,6 @@ struct TreeConfig {
   double min_gain = 1e-12;   // minimal SSE reduction to accept a split
   SplitBackend backend = SplitBackend::kPresorted;
   int threads = 1;           // feature-parallel split search when > 1
-  // Frontier order. kLeafWise takes effect on the histogram backend only
-  // (other backends grow depth-wise regardless): a max-gain priority queue
-  // over open leaves, capped at max_leaves when > 0, with every other stop
-  // (max_depth, min_samples_*, min_gain) unchanged. Without a cap and with
-  // untied gains the fitted function equals depth-wise's (node order
-  // differs). Under mtry the per-node feature draws happen in creation
-  // order instead of expansion order, so mtry forests differ from
-  // depth-wise ones (both are valid draws of the same scheme).
-  GrowthPolicy growth = GrowthPolicy::kDepthWise;
-  int max_leaves = 0;        // leaf-wise cap; 0 = unlimited
 };
 
 /// A fitted regression tree. Nodes are stored in a flat array.
@@ -104,7 +94,6 @@ class RegressionTree {
   int Build(FitContext* ctx, int begin, int end, int depth);
   int BuildHistogram(FitContext* ctx, int begin, int end, int depth,
                      std::vector<HistBin> hist);
-  int BuildHistogramLeafWise(FitContext* ctx, int begin, int end);
   int BuildReference(const Dataset& d, std::vector<int>* rows, int begin,
                      int end, int depth, const TreeConfig& config, Rng* rng);
   int DepthOf(int node) const;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <queue>
 
 #include "ml/order_partition.h"
 #include "ml/tree_wire.h"
@@ -54,7 +53,6 @@ struct GradientBoostedTrees::RoundContext {
   // Interleaved (grad, hess) pairs, packed once per round: the node
   // accumulations then touch one random cache line per row instead of two.
   const double* gh = nullptr;
-  int max_leaves = 0;          // leaf-wise growth only; 0 = unlimited
 };
 
 double GradientBoostedTrees::Tree::Predict(const double* x) const {
@@ -290,204 +288,6 @@ int GradientBoostedTrees::BuildNodeHistogram(RoundContext* ctx, int begin,
   nd.left = left;
   nd.right = right;
   return node_index;
-}
-
-// Best-first (leaf-wise) growth on the histogram backend: every open leaf
-// carries its histogram and best candidate split, and a max-gain priority
-// queue decides which leaf splits next, so a max_leaves cap spends the leaf
-// budget where the gain is (LightGBM's growth order). Because a node's row
-// segment depends only on its ancestors' partitions -- which precede it in
-// *any* expansion order -- each expanded node sees bit-identical gradient
-// sums, candidate scans, and partitions to the depth-wise recursion; with
-// no cap and untied gains the fitted function is therefore identical, only
-// the node-array order differs (children still always follow their parent,
-// preserving the tree_wire strictly-forward invariant).
-int GradientBoostedTrees::BuildLeafWise(RoundContext* ctx, int begin, int end,
-                                        Tree* tree) const {
-  const std::vector<double>& grad = *ctx->grad;
-  const std::vector<double>& hess = *ctx->hess;
-  const std::vector<int>& features = *ctx->features;
-  const size_t stride = static_cast<size_t>(ctx->hist_stride);
-
-  struct Candidate {
-    int feature = -1;
-    double threshold = 0.0;
-    double gain = 0.0;
-  };
-  struct OpenLeaf {
-    int node = -1;
-    int begin = 0;
-    int end = 0;
-    int depth = 0;
-    double g_sum = 0.0;
-    double h_sum = 0.0;
-    std::vector<HistBin> hist;
-    Candidate best;
-  };
-
-  auto node_sums = [&](int b, int e, double* g_sum, double* h_sum) {
-    double g = 0.0, h = 0.0;
-    for (int i = b; i < e; ++i) {
-      const int r = ctx->rows[static_cast<size_t>(i)];
-      g += grad[static_cast<size_t>(r)];
-      h += hess[static_cast<size_t>(r)];
-    }
-    *g_sum = g;
-    *h_sum = h;
-  };
-  auto accumulate = [&](int b, int e) {
-    std::vector<HistBin> hist = ctx->hist_pool->Acquire();
-    const int* ids = ctx->rows.data() + b;
-    for (size_t fi = 0; fi < features.size(); ++fi) {
-      HistBin* slot = hist.data() + fi * stride;
-      std::fill_n(slot, ctx->binned->num_bins(features[fi]), HistBin{});
-      AccumulateHistogramPairs(ctx->binned->codes(features[fi]).data(), ids,
-                               e - b, ctx->gh, slot);
-    }
-    return hist;
-  };
-  // Same candidate scan as BuildNodeHistogram's search_feature.
-  auto search = [&](const OpenLeaf& leaf) {
-    const double parent_score = LeafScore(leaf.g_sum, leaf.h_sum, ctx->lambda);
-    auto search_feature = [&](size_t fi) {
-      Candidate cand;
-      const int f = features[fi];
-      const HistBin* hb = leaf.hist.data() + fi * stride;
-      const int num_bins = ctx->binned->num_bins(f);
-      double gl = 0.0, hl = 0.0;
-      int prev = -1;
-      for (int b = 0; b < num_bins; ++b) {
-        if (hb[b].count == 0) continue;
-        if (prev >= 0) {
-          const double gr = leaf.g_sum - gl;
-          const double hr = leaf.h_sum - hl;
-          if (hl >= ctx->min_child_weight && hr >= ctx->min_child_weight) {
-            const double gain = 0.5 * (LeafScore(gl, hl, ctx->lambda) +
-                                       LeafScore(gr, hr, ctx->lambda) -
-                                       parent_score) -
-                                ctx->gamma;
-            if (gain > cand.gain) {
-              cand.gain = gain;
-              cand.feature = f;
-              cand.threshold = 0.5 * (ctx->binned->bin_last(f, prev) +
-                                      ctx->binned->bin_first(f, b));
-            }
-          }
-        }
-        gl += hb[b].g;
-        hl += hb[b].h;
-        prev = b;
-      }
-      return cand;
-    };
-    return BestSplitOverFeatures<Candidate>(ctx->pool, features.size(),
-                                            leaf.end - leaf.begin,
-                                            search_feature);
-  };
-
-  std::vector<OpenLeaf> open;
-  // (gain, -slot): ties prefer the earliest-created slot, deterministically.
-  std::priority_queue<std::pair<double, int>> queue;
-
-  // Creates the node, and when it is splittable enqueues it as an open
-  // leaf (building its histogram unless the parent handed one down).
-  auto make_node = [&](int b, int e, int depth,
-                       std::vector<HistBin> hist) -> int {
-    double g_sum = 0.0, h_sum = 0.0;
-    node_sums(b, e, &g_sum, &h_sum);
-    const int node_index = static_cast<int>(tree->nodes.size());
-    tree->nodes.emplace_back();
-    tree->nodes[static_cast<size_t>(node_index)].weight =
-        -ctx->eta * g_sum / (h_sum + ctx->lambda);
-    if (depth >= ctx->max_depth || e - b < 2) {
-      if (!hist.empty()) ctx->hist_pool->Release(std::move(hist));
-      return node_index;
-    }
-    OpenLeaf leaf;
-    leaf.node = node_index;
-    leaf.begin = b;
-    leaf.end = e;
-    leaf.depth = depth;
-    leaf.g_sum = g_sum;
-    leaf.h_sum = h_sum;
-    leaf.hist = hist.empty() ? accumulate(b, e) : std::move(hist);
-    leaf.best = search(leaf);
-    if (leaf.best.feature < 0) {
-      ctx->hist_pool->Release(std::move(leaf.hist));
-      return node_index;
-    }
-    const int slot = static_cast<int>(open.size());
-    open.push_back(std::move(leaf));
-    queue.emplace(open[static_cast<size_t>(slot)].best.gain, -slot);
-    return node_index;
-  };
-
-  make_node(begin, end, 0, {});
-  int num_leaves = 1;
-  while (!queue.empty() &&
-         (ctx->max_leaves <= 0 || num_leaves < ctx->max_leaves)) {
-    const int slot = -queue.top().second;
-    queue.pop();
-    OpenLeaf leaf = std::move(open[static_cast<size_t>(slot)]);
-
-    // Partition by value against the recorded threshold, exactly like the
-    // depth-wise expansion of this node.
-    const std::vector<double>& best_col = ctx->index->column(leaf.best.feature);
-    int nl = 0;
-    for (int i = leaf.begin; i < leaf.end; ++i) {
-      const int r = ctx->rows[static_cast<size_t>(i)];
-      const uint8_t left =
-          best_col[static_cast<size_t>(r)] <= leaf.best.threshold ? 1 : 0;
-      ctx->goes_left[static_cast<size_t>(r)] = left;
-      nl += left;
-    }
-    const int mid = leaf.begin + nl;
-    if (mid == leaf.begin || mid == leaf.end) {
-      ctx->hist_pool->Release(std::move(leaf.hist));
-      continue;  // degenerate (ties): the node stays a leaf
-    }
-    std::partition(ctx->rows.data() + leaf.begin, ctx->rows.data() + leaf.end,
-                   [&](int r) {
-                     return ctx->goes_left[static_cast<size_t>(r)] != 0;
-                   });
-
-    // Scan the smaller child; the larger child inherits parent - sibling in
-    // the parent's buffer.
-    const bool left_small = mid - leaf.begin <= leaf.end - mid;
-    const int small_begin = left_small ? leaf.begin : mid;
-    const int small_end = left_small ? mid : leaf.end;
-    std::vector<HistBin> small = accumulate(small_begin, small_end);
-    for (size_t fi = 0; fi < features.size(); ++fi) {
-      HistBin* parent = leaf.hist.data() + fi * stride;
-      SubtractHistogram(parent, small.data() + fi * stride, parent,
-                        ctx->binned->num_bins(features[fi]));
-    }
-    std::vector<HistBin> left_hist =
-        left_small ? std::move(small) : std::move(leaf.hist);
-    std::vector<HistBin> right_hist =
-        left_small ? std::move(leaf.hist) : std::move(small);
-
-    const int left_node =
-        make_node(leaf.begin, mid, leaf.depth + 1, std::move(left_hist));
-    const int right_node =
-        make_node(mid, leaf.end, leaf.depth + 1, std::move(right_hist));
-    Node& nd = tree->nodes[static_cast<size_t>(leaf.node)];
-    nd.feature = leaf.best.feature;
-    nd.threshold = leaf.best.threshold;
-    nd.left = left_node;
-    nd.right = right_node;
-    ++num_leaves;
-  }
-  // Leaves still queued when the cap fires keep their histograms; drain
-  // them back to the pool.
-  while (!queue.empty()) {
-    const int slot = -queue.top().second;
-    queue.pop();
-    if (!open[static_cast<size_t>(slot)].hist.empty()) {
-      ctx->hist_pool->Release(std::move(open[static_cast<size_t>(slot)].hist));
-    }
-  }
-  return 0;
 }
 
 int GradientBoostedTrees::BuildNodeSorted(RoundContext* ctx, int begin,
@@ -735,14 +535,9 @@ void GradientBoostedTrees::FitImpl(const Dataset& d,
         ctx.hist_stride = binned->max_bins();
         ctx.hist_pool = hist_pool.get();
         ctx.gh = gh_pairs.data();
-        ctx.max_leaves = config_.max_leaves;
         ctx.rows = std::move(rows);
         ctx.goes_left.resize(static_cast<size_t>(n));
-        if (config_.growth == GrowthPolicy::kLeafWise) {
-          BuildLeafWise(&ctx, 0, in_round, &tree);
-        } else {
-          BuildNodeHistogram(&ctx, 0, in_round, 0, {}, &tree);
-        }
+        BuildNodeHistogram(&ctx, 0, in_round, 0, {}, &tree);
       } else {
         ctx.order.resize(features.size());
         if (fit_rows == nullptr && in_round == n) {

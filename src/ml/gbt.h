@@ -37,13 +37,6 @@ struct GbtConfig {
   double base_score = 0.5;       // initial probability
   SplitBackend backend = SplitBackend::kPresorted;
   int threads = 1;               // feature-parallel split search when > 1
-  // Frontier order. kLeafWise takes effect on the histogram backend only
-  // (the other backends grow depth-wise regardless): a max-gain priority
-  // queue over open leaves, bounded by max_leaves when > 0. max_depth still
-  // applies. With max_leaves == 0 and untied gains the fitted function is
-  // identical to depth-wise (node order differs).
-  GrowthPolicy growth = GrowthPolicy::kDepthWise;
-  int max_leaves = 0;            // leaf-wise cap per tree; 0 = unlimited
 };
 
 class GradientBoostedTrees : public Metamodel {
@@ -115,7 +108,6 @@ class GradientBoostedTrees : public Metamodel {
                       Tree* tree) const;
   int BuildNodeHistogram(RoundContext* ctx, int begin, int end, int depth,
                          std::vector<HistBin> hist, Tree* tree) const;
-  int BuildLeafWise(RoundContext* ctx, int begin, int end, Tree* tree) const;
   void FitImpl(const Dataset& d, const std::vector<int>* fit_rows,
                uint64_t seed, const ColumnIndex* index,
                const BinnedIndex* binned);

@@ -19,16 +19,6 @@ const char* SplitBackendName(SplitBackend backend) {
   return "?";
 }
 
-const char* GrowthPolicyName(GrowthPolicy growth) {
-  switch (growth) {
-    case GrowthPolicy::kDepthWise:
-      return "depthwise";
-    case GrowthPolicy::kLeafWise:
-      return "leafwise";
-  }
-  return "?";
-}
-
 namespace {
 
 // Scalar kernels: the 4-row unrolled gathers (formerly inline in the

@@ -5,8 +5,8 @@
 // bins in O(bins) instead of O(n) exact values, and one child per split is
 // derived by parent-minus-sibling subtraction instead of a rescan. The
 // SplitBackend enum selects between the reference sort-per-node search, the
-// PR 2 presorted-order search, and this histogram search in every tree
-// config (CartParams/GbtParams/RfParams equivalents).
+// presorted-order search, and this histogram search in every tree config.
+// Every backend grows trees depth-wise.
 #ifndef REDS_ML_HISTOGRAM_H_
 #define REDS_ML_HISTOGRAM_H_
 
@@ -22,8 +22,8 @@ namespace reds::ml {
 
 /// Which split-search kernel a tree learner runs.
 ///   kExact:     sort-per-node reference (the seed implementation).
-///   kPresorted: per-feature sorted orders partitioned down the tree (PR 2).
-///   kHistogram: binned gradient histograms over a BinnedIndex (this PR).
+///   kPresorted: per-feature sorted orders partitioned down the tree.
+///   kHistogram: binned gradient histograms over a BinnedIndex.
 /// Exact and presorted produce bit-identical trees. Histogram trees
 /// evaluate the same candidate set with the same thresholds whenever every
 /// feature has at most BinnedIndex::kMaxBins distinct values -- and are
@@ -36,24 +36,6 @@ enum class SplitBackend { kExact, kPresorted, kHistogram };
 
 /// Returns "exact"/"presorted"/"histogram".
 const char* SplitBackendName(SplitBackend backend);
-
-/// How a tree expands its frontier.
-///   kDepthWise: recursive expansion, every node split until the depth /
-///               size stops fire (the reference order; all backends).
-///   kLeafWise:  best-first expansion a la LightGBM -- a max-gain priority
-///               queue over the open leaves, so under a `max_leaves` cap
-///               the tree spends its leaf budget where the gain is, which
-///               reaches a given training loss with far fewer nodes than
-///               depth-wise at the same cap. Histogram backend only (the
-///               other backends silently grow depth-wise); with no cap and
-///               the same stopping rules it expands exactly the nodes
-///               depth-wise expands, in a different order, so the resulting
-///               tree *function* is identical whenever split gains are
-///               untied (asserted by the equivalence tests).
-enum class GrowthPolicy { kDepthWise, kLeafWise };
-
-/// Returns "depthwise"/"leafwise".
-const char* GrowthPolicyName(GrowthPolicy growth);
 
 /// One histogram bin: gradient-like and hessian-like sums plus a count.
 /// CART uses g = sum of targets (h unused); GBT uses g/h = gradient and

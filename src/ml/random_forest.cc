@@ -36,8 +36,6 @@ TreeConfig RandomForest::MakeTreeConfig(int num_cols) const {
   tree_config.min_samples_split = std::max(2, 2 * config_.min_samples_leaf);
   tree_config.max_depth = config_.max_depth;
   tree_config.backend = config_.backend;
-  tree_config.growth = config_.growth;
-  tree_config.max_leaves = config_.max_leaves;
   return tree_config;
 }
 

@@ -23,9 +23,6 @@ struct RandomForestConfig {
   SplitBackend backend = SplitBackend::kPresorted;
   int fit_threads = 1;       // trees fit in parallel when > 1 (each tree has
                              // its own seed stream, so results are identical)
-  // Per-tree frontier order; histogram backend only (see ml/cart.h).
-  GrowthPolicy growth = GrowthPolicy::kDepthWise;
-  int max_leaves = 0;        // leaf-wise cap per tree; 0 = unlimited
 };
 
 class RandomForest : public Metamodel {

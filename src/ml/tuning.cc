@@ -161,8 +161,6 @@ std::vector<ModelFactory> BuildTuningGrid(MetamodelKind kind, int m,
         c.num_trees = full ? 500 : 100;
         c.mtry = mtry;
         c.backend = config.backend;
-        c.growth = config.growth;
-        c.max_leaves = config.max_leaves;
         grid.push_back([c] { return std::make_unique<RandomForest>(c); });
       }
       break;
@@ -182,8 +180,6 @@ std::vector<ModelFactory> BuildTuningGrid(MetamodelKind kind, int m,
             c.num_rounds = nr;
             c.eta = eta;
             c.backend = config.backend;
-            c.growth = config.growth;
-            c.max_leaves = config.max_leaves;
             grid.push_back(
                 [c] { return std::make_unique<GradientBoostedTrees>(c); });
           }
@@ -210,20 +206,14 @@ std::vector<ModelFactory> BuildTuningGrid(MetamodelKind kind, int m,
 
 std::unique_ptr<Metamodel> FitDefault(MetamodelKind kind, const Dataset& d,
                                       uint64_t seed, TuningBudget budget,
-                                      const ColumnIndex* index,
-                                      const BinnedIndex* binned,
-                                      SplitBackend backend,
-                                      GrowthPolicy growth, int max_leaves) {
+                                      const ColumnIndex* index) {
   const bool full = budget == TuningBudget::kFull;
   switch (kind) {
     case MetamodelKind::kRandomForest: {
       RandomForestConfig config;
       config.num_trees = full ? 500 : 100;
-      config.backend = backend;
-      config.growth = growth;
-      config.max_leaves = max_leaves;
       auto model = std::make_unique<RandomForest>(config);
-      model->Fit(d, seed, index, binned);
+      model->Fit(d, seed, index);
       return model;
     }
     case MetamodelKind::kGbt: {
@@ -231,11 +221,8 @@ std::unique_ptr<Metamodel> FitDefault(MetamodelKind kind, const Dataset& d,
       config.num_rounds = full ? 150 : 80;
       config.max_depth = 4;
       config.eta = 0.3;
-      config.backend = backend;
-      config.growth = growth;
-      config.max_leaves = max_leaves;
       auto model = std::make_unique<GradientBoostedTrees>(config);
-      model->Fit(d, seed, index, binned);
+      model->Fit(d, seed, index);
       return model;
     }
     case MetamodelKind::kSvm: {
@@ -304,20 +291,13 @@ std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
 std::unique_ptr<Metamodel> FitMetamodel(MetamodelKind kind, const Dataset& d,
                                         uint64_t seed, bool tune,
                                         TuningBudget budget,
-                                        const ColumnIndex* index,
-                                        const BinnedIndex* binned,
-                                        SplitBackend backend,
-                                        GrowthPolicy growth, int max_leaves) {
+                                        const ColumnIndex* index) {
   if (tune) {
     TuningConfig config;
     config.budget = budget;
-    config.backend = backend;
-    config.growth = growth;
-    config.max_leaves = max_leaves;
-    return TuneAndFit(kind, d, seed, config, index, binned);
+    return TuneAndFit(kind, d, seed, config, index);
   }
-  return FitDefault(kind, d, seed, budget, index, binned, backend, growth,
-                    max_leaves);
+  return FitDefault(kind, d, seed, budget, index);
 }
 
 }  // namespace reds::ml

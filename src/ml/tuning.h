@@ -24,12 +24,9 @@ enum class TuningBudget { kQuick, kFull };
 struct TuningConfig {
   TuningBudget budget = TuningBudget::kQuick;
   int folds = 5;
-  /// Split-search kernel every tree candidate in the grid runs on.
+  /// Split-search kernel every tree candidate in the grid runs on. The
+  /// REDS metamodel paths (FitMetamodel) always tune presorted.
   SplitBackend backend = SplitBackend::kPresorted;
-  /// Tree growth order for the tree families (see ml/histogram.h); applied
-  /// to every grid candidate and to the final refit.
-  GrowthPolicy growth = GrowthPolicy::kDepthWise;
-  int max_leaves = 0;  // leaf-wise cap per tree; 0 = unlimited
 };
 
 /// Splits rows into k folds (round-robin over a shuffled permutation) and
@@ -78,34 +75,23 @@ std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
                                          const ColumnIndex* index = nullptr,
                                          const BinnedIndex* binned = nullptr);
 
-/// Fits the family with library defaults (no tuning). Prebuilt indexes of d
-/// (e.g. the engine's shared per-dataset caches) feed the tree learners'
-/// presorted/histogram split search; when null they build their own.
+/// Fits the family with library defaults (no tuning) on the presorted
+/// split search. A prebuilt ColumnIndex of d (e.g. the engine's shared
+/// per-dataset cache) feeds the tree learners; when null they build their
+/// own.
 std::unique_ptr<Metamodel> FitDefault(MetamodelKind kind, const Dataset& d,
                                       uint64_t seed,
                                       TuningBudget budget = TuningBudget::kQuick,
-                                      const ColumnIndex* index = nullptr,
-                                      const BinnedIndex* binned = nullptr,
-                                      SplitBackend backend =
-                                          SplitBackend::kPresorted,
-                                      GrowthPolicy growth =
-                                          GrowthPolicy::kDepthWise,
-                                      int max_leaves = 0);
+                                      const ColumnIndex* index = nullptr);
 
 /// TuneAndFit when `tune`, else FitDefault: the single dispatch both the
 /// inline REDS path and the engine's metamodel cache use, so cached and
-/// uncached fits cannot drift apart. `index`/`binned` feed the untuned fit
-/// and the tuned path's fold row views alike.
+/// uncached fits cannot drift apart. `index` feeds the untuned fit and the
+/// tuned path's fold row views alike.
 std::unique_ptr<Metamodel> FitMetamodel(MetamodelKind kind, const Dataset& d,
                                         uint64_t seed, bool tune,
                                         TuningBudget budget,
-                                        const ColumnIndex* index = nullptr,
-                                        const BinnedIndex* binned = nullptr,
-                                        SplitBackend backend =
-                                            SplitBackend::kPresorted,
-                                        GrowthPolicy growth =
-                                            GrowthPolicy::kDepthWise,
-                                        int max_leaves = 0);
+                                        const ColumnIndex* index = nullptr);
 
 }  // namespace reds::ml
 

@@ -384,10 +384,6 @@ Result<ml::RegressionTree> ShardCoordinator::FitTree(
     return Status::InvalidArgument(
         "distributed tree fit does not support mtry");
   }
-  if (config.growth != ml::GrowthPolicy::kDepthWise) {
-    return Status::InvalidArgument(
-        "distributed tree fit grows depth-wise only");
-  }
 
   Status s = Broadcast(static_cast<uint8_t>(MsgType::kTreeStart), "");
   if (!s.ok()) return s;
@@ -570,8 +566,6 @@ Result<std::unique_ptr<ml::Metamodel>> ShardCoordinator::TuneAndFitSharded(
     msg.U8(static_cast<uint8_t>(config.budget));
     msg.I32(config.folds);
     msg.U8(static_cast<uint8_t>(config.backend));
-    msg.U8(static_cast<uint8_t>(config.growth));
-    msg.I32(config.max_leaves);
     msg.I32(d.num_cols());
     msg.VecF64(x);
     msg.VecF64(y);

@@ -63,10 +63,9 @@ class ShardCoordinator {
   /// (labels as targets): per node, workers ship local per-feature
   /// histograms; the coordinator merges them (MergeHistogram), runs the
   /// shared ScanHistogramSplits scan, and broadcasts the chosen split.
-  /// mtry and leaf-wise growth are not supported (the randomized /
-  /// reordered paths are covered by tuning-cell sharding instead).
-  /// Bit-identical to RegressionTree::Fit(kHistogram, depth-wise) for
-  /// {0,1} labels in the exact-pack regime. Requires BuildGlobalBins.
+  /// mtry is not supported (the randomized path is covered by tuning-cell
+  /// sharding instead). Bit-identical to RegressionTree::Fit(kHistogram)
+  /// for {0,1} labels in the exact-pack regime. Requires BuildGlobalBins.
   Result<ml::RegressionTree> FitTree(const ml::TreeConfig& config);
 
   /// Sharded CV grid tuning: D (small) is serialized to every worker,

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/binned_index.h"
 #include "core/dataset.h"
@@ -51,35 +53,9 @@ Status ShardWorker::Serve() {
       case MsgType::kTreeFinish:
         segments_.clear();
         break;
-      case MsgType::kTuneCells: {
-        util::ByteReader in(frame->payload);
-        const auto kind = static_cast<ml::MetamodelKind>(in.U8());
-        const uint64_t seed = in.U64();
-        ml::TuningConfig config;
-        config.budget = static_cast<ml::TuningBudget>(in.U8());
-        config.folds = in.I32();
-        config.backend = static_cast<ml::SplitBackend>(in.U8());
-        config.growth = static_cast<ml::GrowthPolicy>(in.U8());
-        config.max_leaves = in.I32();
-        const int num_cols = in.I32();
-        std::vector<double> x = in.VecF64();
-        std::vector<double> y = in.VecF64();
-        std::vector<int> cells = in.VecI32();
-        if (!in.ok() || num_cols <= 0) {
-          s = Status::InvalidArgument("shard worker: bad kTuneCells payload");
-          break;
-        }
-        const Dataset d(num_cols, std::move(x), std::move(y));
-        util::ByteWriter out;
-        out.U64(cells.size());
-        for (int cell : cells) {
-          metrics_.counter("shard.worker.tune_cells")->Add();
-          out.I32(cell);
-          out.F64(ml::TuningCellLoss(kind, cell, d, seed, config));
-        }
-        s = WriteFrame(fd_, MsgType::kTuneReply, out);
+      case MsgType::kTuneCells:
+        s = HandleTuneCells(frame->payload);
         break;
-      }
       case MsgType::kMetricsRequest:
         s = HandleMetrics();
         break;
@@ -102,6 +78,70 @@ Status ShardWorker::Serve() {
       return s;
     }
   }
+}
+
+Status ShardWorker::HandleTuneCells(const std::string& payload) {
+  // Every field is checked before it becomes an enum, a Dataset shape or a
+  // grid index: the payload is wire bytes, and TuningCellLoss trusts all
+  // of them.
+  const auto bad = [](const char* what) {
+    return Status::InvalidArgument(
+        std::string("shard worker: bad kTuneCells payload: ") + what);
+  };
+  util::ByteReader in(payload);
+  const uint8_t kind_byte = in.U8();
+  const uint64_t seed = in.U64();
+  const uint8_t budget_byte = in.U8();
+  const int32_t folds = in.I32();
+  const uint8_t backend_byte = in.U8();
+  const int32_t num_cols = in.I32();
+  std::vector<double> x = in.VecF64();
+  std::vector<double> y = in.VecF64();
+  const std::vector<int> cells = in.VecI32();
+  if (!in.ok() || in.remaining() != 0) return bad("truncated or oversized");
+  if (kind_byte > static_cast<uint8_t>(ml::MetamodelKind::kSvm)) {
+    return bad("unknown metamodel kind");
+  }
+  if (budget_byte > static_cast<uint8_t>(ml::TuningBudget::kFull)) {
+    return bad("unknown tuning budget");
+  }
+  if (backend_byte > static_cast<uint8_t>(ml::SplitBackend::kHistogram)) {
+    return bad("unknown split backend");
+  }
+  if (folds < 2) return bad("fewer than 2 folds");
+  if (num_cols <= 0) return bad("no columns");
+  if (x.size() % static_cast<size_t>(num_cols) != 0 ||
+      x.size() / static_cast<size_t>(num_cols) != y.size()) {
+    return bad("x and y disagree on the row count");
+  }
+  if (y.size() < static_cast<size_t>(folds)) {
+    return bad("fewer rows than folds");
+  }
+  const int rows = static_cast<int>(y.size());
+  Status finite = CheckFiniteBlock(x.data(), rows, num_cols);
+  if (!finite.ok()) return finite;
+  for (double v : y) {
+    if (!std::isfinite(v)) return bad("non-finite label");
+  }
+  const auto kind = static_cast<ml::MetamodelKind>(kind_byte);
+  ml::TuningConfig config;
+  config.budget = static_cast<ml::TuningBudget>(budget_byte);
+  config.folds = folds;
+  config.backend = static_cast<ml::SplitBackend>(backend_byte);
+  const int grid = ml::TuningGridSize(kind, num_cols, config);
+  for (int cell : cells) {
+    if (cell < 0 || cell >= grid) return bad("grid cell out of range");
+  }
+
+  const Dataset d(num_cols, std::move(x), std::move(y));
+  util::ByteWriter out;
+  out.U64(cells.size());
+  for (int cell : cells) {
+    metrics_.counter("shard.worker.tune_cells")->Add();
+    out.I32(cell);
+    out.F64(ml::TuningCellLoss(kind, cell, d, seed, config));
+  }
+  return WriteFrame(fd_, MsgType::kTuneReply, out);
 }
 
 Status ShardWorker::HandleSketch(const std::string& payload) {

@@ -44,6 +44,7 @@ class ShardWorker {
   Status HandleTreeStart();
   Status HandleTreeHist(const std::string& payload);
   Status HandleTreeSplit(const std::string& payload);
+  Status HandleTuneCells(const std::string& payload);
   Status HandleMetrics();
 
   /// Serializes every dimension's in-box per-bin aggregates (the reply

@@ -133,22 +133,6 @@ TEST(BinnedIndexCacheTest, BatchOverOneDatasetQuantizesOnce) {
   EXPECT_EQ(engine.binned_index_cache_size(), 1);
 }
 
-TEST(BinnedIndexCacheTest, HistogramBackendKeysMetamodelsSeparately) {
-  // The same dataset fit with presorted vs histogram split search must not
-  // share a metamodel cache entry.
-  const auto train = MakeData(200, 4, 12);
-  DiscoveryEngine engine({/*threads=*/2});
-  auto presorted = MakeRequest(train, "RPx");
-  auto histogram = MakeRequest(train, "RPx");
-  histogram.options.split_backend = ml::SplitBackend::kHistogram;
-  histogram.cell = "RPx-hist";
-  engine.Submit(std::move(presorted));
-  engine.Submit(std::move(histogram));
-  engine.WaitAll();
-  EXPECT_EQ(engine.metamodel_cache().misses(), 2u);
-  EXPECT_EQ(engine.metamodel_cache().hits(), 0u);
-}
-
 TEST(DiscoveryEngineTest, ConcurrentSubmissionStress) {
   const auto train_a = MakeData(180, 4, 3);
   const auto train_b = MakeData(180, 4, 4);

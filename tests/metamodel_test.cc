@@ -317,31 +317,23 @@ TEST(PredictBlockTest, GbtDepthWiseMatchesPredictProb) {
   const Dataset train = NoisyData(600, 5, 21);
   const std::vector<double> probe = ProbeRows(5, &train, 22);
   // 2-6 span the default and the tuning grids; 10 exceeds the complete-tree
-  // layout and keeps the pointer walk inside the same loop.
-  for (int depth : {2, 4, 6, 10}) {
-    SCOPED_TRACE("max_depth " + std::to_string(depth));
-    GbtConfig config;
-    config.num_rounds = 40;
-    config.max_depth = depth;
-    config.subsample = 0.8;
-    GradientBoostedTrees gbt(config);
-    gbt.Fit(train, 23);
-    ExpectBlockMatchesRowsAfterReload(gbt, probe);
+  // layout and keeps the pointer walk inside the same loop. Histogram-fit
+  // ensembles (binned thresholds) go through the same block layouts.
+  for (SplitBackend backend :
+       {SplitBackend::kPresorted, SplitBackend::kHistogram}) {
+    for (int depth : {2, 4, 6, 10}) {
+      SCOPED_TRACE(std::string(SplitBackendName(backend)) + " max_depth " +
+                   std::to_string(depth));
+      GbtConfig config;
+      config.num_rounds = 40;
+      config.max_depth = depth;
+      config.subsample = 0.8;
+      config.backend = backend;
+      GradientBoostedTrees gbt(config);
+      gbt.Fit(train, 23);
+      ExpectBlockMatchesRowsAfterReload(gbt, probe);
+    }
   }
-}
-
-TEST(PredictBlockTest, GbtLeafWiseMatchesPredictProb) {
-  const Dataset train = NoisyData(600, 5, 24);
-  const std::vector<double> probe = ProbeRows(5, &train, 25);
-  GbtConfig config;
-  config.num_rounds = 40;
-  config.max_depth = 6;
-  config.backend = SplitBackend::kHistogram;
-  config.growth = GrowthPolicy::kLeafWise;
-  config.max_leaves = 12;
-  GradientBoostedTrees gbt(config);
-  gbt.Fit(train, 26);
-  ExpectBlockMatchesRowsAfterReload(gbt, probe);
 }
 
 TEST(PredictBlockTest, RandomForestWithMultiWordTreesMatchesPredictProb) {

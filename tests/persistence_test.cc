@@ -218,6 +218,48 @@ TEST(PersistentCacheTest, RejectsTamperedFiles) {
   EXPECT_GE(cache.stats().rejected, 2);
 }
 
+TEST(PersistentCacheTest, RejectsMetamodelOfPreviousFormatVersion) {
+  // A metamodel file whose header carries the previous format version is
+  // refused and counted, never served -- even with its name, key echo and
+  // payload checksum intact (the checksum does not cover the header).
+  const std::string dir = FreshCacheDir("old_version");
+  const Dataset train = MakeData(200, 3, 8);
+  const auto model = ml::FitDefault(ml::MetamodelKind::kGbt, train, 9);
+  engine::MetamodelKey key;
+  key.fingerprint = 0x1234;
+  key.kind = ml::MetamodelKind::kGbt;
+  key.seed = 5;
+  engine::PersistentCache cache(dir);
+  cache.StoreMetamodel(key, *model);
+  ASSERT_NE(cache.LoadMetamodel(key), nullptr);
+
+  std::string file;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    file = entry.path().string();
+  }
+  ASSERT_FALSE(file.empty());
+  {
+    // Header: u64 magic, then the u32 little-endian format version.
+    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+    unsigned char v[4];
+    f.seekg(8);
+    f.read(reinterpret_cast<char*>(v), 4);
+    const uint32_t version = v[0] | (v[1] << 8) | (v[2] << 16) |
+                             (static_cast<uint32_t>(v[3]) << 24);
+    ASSERT_GE(version, 2u);
+    const uint32_t previous = version - 1;
+    for (int b = 0; b < 4; ++b) {
+      v[b] = static_cast<unsigned char>(previous >> (8 * b));
+    }
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(v), 4);
+  }
+  const int rejected = cache.stats().rejected;
+  EXPECT_EQ(cache.LoadMetamodel(key), nullptr);
+  EXPECT_EQ(cache.stats().rejected, rejected + 1);
+  EXPECT_EQ(cache.stats().model_hits, 1);
+}
+
 // The warm-vs-cold contract, in process: a second engine over the same
 // cache directory reloads the quantization and the trained metamodel
 // instead of rebuilding them, and produces bit-identical results.

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -201,6 +202,124 @@ TEST(ShardFleetTest, NonFiniteCellFailsTheFleetWithItsStatus) {
       << served.ToString();
   ::close(sv[0]);
   ::close(sv[1]);
+}
+
+// The fields of one kTuneCells request, serialized in wire order by
+// Payload(). Defaults form a valid request: a 40 x 2 design, GBT, 3 folds.
+struct TuneCellsFields {
+  uint8_t kind = static_cast<uint8_t>(ml::MetamodelKind::kGbt);
+  uint64_t seed = 3;
+  uint8_t budget = static_cast<uint8_t>(ml::TuningBudget::kQuick);
+  int32_t folds = 3;
+  uint8_t backend = static_cast<uint8_t>(ml::SplitBackend::kPresorted);
+  int32_t num_cols = 2;
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<int> cells = {0};
+
+  TuneCellsFields() {
+    Rng rng(13);
+    for (int r = 0; r < 40; ++r) {
+      x.push_back(rng.Uniform());
+      x.push_back(rng.Uniform());
+      y.push_back(r % 2 == 0 ? 1.0 : 0.0);
+    }
+  }
+
+  std::string Payload() const {
+    util::ByteWriter msg;
+    msg.U8(kind);
+    msg.U64(seed);
+    msg.U8(budget);
+    msg.I32(folds);
+    msg.U8(backend);
+    msg.I32(num_cols);
+    msg.VecF64(x);
+    msg.VecF64(y);
+    msg.VecI32(cells);
+    return msg.data();
+  }
+};
+
+// Sends one kTuneCells frame to a fresh worker and returns the status of
+// the awaited kTuneReply; `served` receives the worker's exit status.
+Status SendTuneCells(const std::string& payload, Status* served) {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    return Status::IoError("socketpair");
+  }
+  std::thread worker([&] {
+    SyntheticBlockSource source(TestSpec(), 1, 0);
+    *served = RunShardWorker(sv[1], &source);
+  });
+  Status reply = WriteFrame(sv[0], MsgType::kTuneCells, payload);
+  if (reply.ok()) reply = ExpectFrame(sv[0], MsgType::kTuneReply).status();
+  // A worker that answered waits for the next frame; EOF releases it.
+  ::shutdown(sv[0], SHUT_WR);
+  worker.join();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  return reply;
+}
+
+TEST(ShardWireTest, WorkerValidatesEveryTuneCellsField) {
+  {
+    // The unmodified request is served.
+    Status served = Status::OK();
+    const Status reply = SendTuneCells(TuneCellsFields().Payload(), &served);
+    ASSERT_TRUE(reply.ok()) << reply.ToString();
+  }
+  const int grid = ml::TuningGridSize(ml::MetamodelKind::kGbt, 2, {});
+  struct BadCase {
+    const char* what;
+    std::function<void(TuneCellsFields*)> mutate;
+  };
+  const std::vector<BadCase> cases = {
+      {"unknown kind", [](TuneCellsFields* f) { f->kind = 3; }},
+      {"unknown budget", [](TuneCellsFields* f) { f->budget = 2; }},
+      {"unknown backend", [](TuneCellsFields* f) { f->backend = 3; }},
+      {"one fold", [](TuneCellsFields* f) { f->folds = 1; }},
+      {"negative folds", [](TuneCellsFields* f) { f->folds = -4; }},
+      {"zero columns", [](TuneCellsFields* f) { f->num_cols = 0; }},
+      {"negative columns", [](TuneCellsFields* f) { f->num_cols = -2; }},
+      {"ragged x", [](TuneCellsFields* f) { f->x.pop_back(); }},
+      {"x and y rows differ", [](TuneCellsFields* f) { f->y.pop_back(); }},
+      {"fewer rows than folds",
+       [](TuneCellsFields* f) {
+         f->x.resize(4);
+         f->y.resize(2);
+       }},
+      {"cell past the grid", [grid](TuneCellsFields* f) { f->cells = {grid}; }},
+      {"negative cell", [](TuneCellsFields* f) { f->cells = {0, -1}; }},
+      {"huge cell", [](TuneCellsFields* f) { f->cells = {1 << 30}; }},
+      {"nan in x", [](TuneCellsFields* f) { f->x[5] = std::nan(""); }},
+      {"inf in y",
+       [](TuneCellsFields* f) {
+         f->y[3] = std::numeric_limits<double>::infinity();
+       }},
+  };
+  for (const BadCase& c : cases) {
+    SCOPED_TRACE(c.what);
+    TuneCellsFields fields;
+    c.mutate(&fields);
+    Status served = Status::OK();
+    const Status reply = SendTuneCells(fields.Payload(), &served);
+    EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
+        << reply.ToString();
+    EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
+        << served.ToString();
+  }
+  // Truncated and over-long payloads.
+  const std::string valid = TuneCellsFields().Payload();
+  for (const std::string& payload :
+       {valid.substr(0, valid.size() - 1), valid.substr(0, 9), valid + "x",
+        std::string()}) {
+    Status served = Status::OK();
+    const Status reply = SendTuneCells(payload, &served);
+    EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
+        << payload.size() << " bytes: " << reply.ToString();
+    EXPECT_EQ(served.code(), Status::Code::kInvalidArgument);
+  }
 }
 
 TEST(ShardSourceTest, SpecSerializationRoundTrips) {
@@ -506,10 +625,6 @@ TEST(ShardFleetTest, DistributedTreeFitIsByteIdentical) {
   ml::TreeConfig mtry_config = config;
   mtry_config.mtry = 1;
   EXPECT_FALSE(coordinator.FitTree(mtry_config).ok());
-  ml::TreeConfig leaf_config = config;
-  leaf_config.growth = ml::GrowthPolicy::kLeafWise;
-  leaf_config.max_leaves = 8;
-  EXPECT_FALSE(coordinator.FitTree(leaf_config).ok());
   EXPECT_TRUE(coordinator.Shutdown().ok());
 }
 

@@ -3,23 +3,18 @@
 //    grid cell, pick the same cell and produce the same final model as the
 //    reference below, which copies every fold matrix;
 //  - FitOnRows on a shared index must be bit-identical to materializing the
-//    subset, for every tree family;
-//  - leaf-wise (best-first) growth with no leaf cap must reproduce the
-//    depth-wise fitted function wherever gains are untied, and survive the
-//    serialization round trip with its append-at-expansion node order.
+//    subset, for every tree family.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "ml/cart.h"
 #include "ml/gbt.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "ml/tuning.h"
 #include "util/rng.h"
-#include "util/serialize.h"
 
 namespace reds {
 namespace {
@@ -172,109 +167,6 @@ TEST(StreamedTuningTest, FitOnRowsMatchesMaterializedSubset) {
     rf_materialized.Fit(subset, 43);
     ExpectSamePredictions(rf_streamed, rf_materialized, probe,
                           "rf FitOnRows");
-  }
-}
-
-TEST(LeafWiseGrowthTest, UncappedLeafWiseMatchesDepthWiseCart) {
-  // Continuous features + fractional targets: gains are generically
-  // untied, so best-first expansion finds the same split set as
-  // depth-first -- only the node order differs. No mtry (feature draws
-  // happen in creation order under leaf-wise, a different-but-valid rng
-  // stream).
-  for (uint64_t seed : {331u, 332u, 333u}) {
-    const Dataset d = MakeData(400, 4, seed, /*fractional=*/true);
-    const Dataset probe = MakeData(200, 4, seed + 500);
-    ml::TreeConfig config;
-    config.max_depth = 8;
-    config.backend = ml::SplitBackend::kHistogram;
-
-    ml::RegressionTree depth_wise;
-    {
-      Rng rng(5);
-      depth_wise.Fit(d, config, &rng);
-    }
-    ml::RegressionTree leaf_wise;
-    {
-      ml::TreeConfig c = config;
-      c.growth = ml::GrowthPolicy::kLeafWise;
-      Rng rng(5);
-      leaf_wise.Fit(d, c, &rng);
-    }
-    ASSERT_EQ(depth_wise.num_nodes(), leaf_wise.num_nodes()) << seed;
-    ASSERT_EQ(depth_wise.num_leaves(), leaf_wise.num_leaves()) << seed;
-    for (int i = 0; i < probe.num_rows(); ++i) {
-      EXPECT_DOUBLE_EQ(depth_wise.Predict(probe.row(i)),
-                       leaf_wise.Predict(probe.row(i)))
-          << seed;
-    }
-  }
-}
-
-TEST(LeafWiseGrowthTest, UncappedLeafWiseMatchesDepthWiseGbt) {
-  const Dataset d = MakeData(500, 4, 341, /*fractional=*/true);
-  const Dataset probe = MakeData(200, 4, 342);
-  ml::GbtConfig config;
-  config.num_rounds = 20;
-  config.max_depth = 4;
-  config.backend = ml::SplitBackend::kHistogram;
-
-  ml::GradientBoostedTrees depth_wise(config);
-  depth_wise.Fit(d, 17);
-  ml::GbtConfig leaf_config = config;
-  leaf_config.growth = ml::GrowthPolicy::kLeafWise;
-  ml::GradientBoostedTrees leaf_wise(leaf_config);
-  leaf_wise.Fit(d, 17);
-  ASSERT_EQ(depth_wise.num_trees(), leaf_wise.num_trees());
-  for (int i = 0; i < probe.num_rows(); ++i) {
-    EXPECT_DOUBLE_EQ(depth_wise.PredictMargin(probe.row(i)),
-                     leaf_wise.PredictMargin(probe.row(i)));
-  }
-}
-
-TEST(LeafWiseGrowthTest, MaxLeavesCapsTheTree) {
-  const Dataset d = MakeData(800, 4, 351, /*fractional=*/true);
-  ml::TreeConfig config;
-  config.backend = ml::SplitBackend::kHistogram;
-  config.growth = ml::GrowthPolicy::kLeafWise;
-  config.max_leaves = 6;
-
-  ml::RegressionTree tree;
-  Rng rng(7);
-  tree.Fit(d, config, &rng);
-  ASSERT_TRUE(tree.fitted());
-  EXPECT_LE(tree.num_leaves(), 6);
-  // Deep data + best-first: the cap binds well below the uncapped size.
-  ml::TreeConfig uncapped = config;
-  uncapped.max_leaves = 0;
-  ml::RegressionTree full;
-  Rng rng2(7);
-  full.Fit(d, uncapped, &rng2);
-  EXPECT_GT(full.num_leaves(), 6);
-}
-
-TEST(LeafWiseGrowthTest, SerializationRoundTripPreservesLeafWiseTrees) {
-  // Leaf-wise appends children at expansion, not at creation: the wire
-  // format's strictly-forward child invariant must still hold.
-  const Dataset d = MakeData(400, 4, 361, /*fractional=*/true);
-  const Dataset probe = MakeData(150, 4, 362);
-  ml::TreeConfig config;
-  config.backend = ml::SplitBackend::kHistogram;
-  config.growth = ml::GrowthPolicy::kLeafWise;
-  config.max_leaves = 12;
-
-  ml::RegressionTree tree;
-  Rng rng(9);
-  tree.Fit(d, config, &rng);
-  ASSERT_TRUE(tree.fitted());
-
-  util::ByteWriter wire;
-  tree.SerializeTo(&wire);
-  util::ByteReader reader(wire.data().data(), wire.size());
-  ml::RegressionTree restored;
-  ASSERT_TRUE(restored.DeserializeFrom(&reader, d.num_cols()).ok());
-  ASSERT_EQ(restored.num_nodes(), tree.num_nodes());
-  for (int i = 0; i < probe.num_rows(); ++i) {
-    EXPECT_EQ(restored.Predict(probe.row(i)), tree.Predict(probe.row(i)));
   }
 }
 
