@@ -347,20 +347,38 @@ int RegressionTree::BuildHistogram(FitContext* ctx, int begin, int end,
   }
 
   auto search_feature = [&](size_t fi) {
-    // The candidate scan lives in ml/histogram.h (ScanHistogramSplits) so
-    // the shard coordinator's distributed fit evaluates the exact same
-    // candidates over fleet-merged histograms.
     SplitCandidate cand;
     const int f = features[fi];
     const HistBin* hb = hist.data() + static_cast<size_t>(f) * stride;
-    const HistogramSplit s = ScanHistogramSplits(
-        hb, ctx->binned->num_bins(f), f, sum, n, config.min_samples_leaf, 0.0,
-        [&](int b) { return ctx->binned->bin_first(f, b); },
-        [&](int b) { return ctx->binned->bin_last(f, b); });
-    cand.feature = s.feature;
-    cand.threshold = s.threshold;
-    cand.gain = s.feature >= 0 ? s.gain : 0.0;
-    cand.left_count = s.left_count;
+    const int num_bins = ctx->binned->num_bins(f);
+    double left_sum = 0.0;
+    int left_count = 0;
+    int prev = -1;  // last non-empty bin folded into the left side
+    for (int b = 0; b < num_bins; ++b) {
+      if (hb[b].count == 0) continue;
+      if (prev >= 0) {
+        const int nl = left_count;
+        const int nr = n - nl;
+        if (nl >= config.min_samples_leaf && nr >= config.min_samples_leaf) {
+          const double right_sum = sum - left_sum;
+          const double gain = left_sum * left_sum / nl +
+                              right_sum * right_sum / nr - sum * sum / n;
+          if (gain > cand.gain) {
+            cand.feature = f;
+            // Midpoint between the adjacent non-empty bins, matching the
+            // exact search's between-distinct-values threshold when bins
+            // are single values.
+            cand.threshold = 0.5 * (ctx->binned->bin_last(f, prev) +
+                                    ctx->binned->bin_first(f, b));
+            cand.gain = gain;
+            cand.left_count = nl;
+          }
+        }
+      }
+      left_sum += hb[b].g;
+      left_count += hb[b].count;
+      prev = b;
+    }
     return cand;
   };
 

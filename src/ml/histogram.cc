@@ -280,34 +280,6 @@ void SubtractHistogram(const HistBin* parent, const HistBin* child,
   }
 }
 
-void MergeHistogram(HistBin* out, const HistBin* other, int num_bins) {
-  for (int b = 0; b < num_bins; ++b) {
-    out[b].g += other[b].g;
-    out[b].h += other[b].h;
-    out[b].count += other[b].count;
-  }
-}
-
-void SerializeHistogram(const HistBin* bins, int num_bins,
-                        util::ByteWriter* out) {
-  out->I32(num_bins);
-  for (int b = 0; b < num_bins; ++b) {
-    out->F64(bins[b].g);
-    out->F64(bins[b].h);
-    out->I32(bins[b].count);
-  }
-}
-
-bool DeserializeHistogram(util::ByteReader* in, HistBin* bins, int num_bins) {
-  if (in->I32() != num_bins) return false;
-  for (int b = 0; b < num_bins; ++b) {
-    bins[b].g = in->F64();
-    bins[b].h = in->F64();
-    bins[b].count = in->I32();
-  }
-  return in->ok();
-}
-
 std::vector<HistBin> HistogramPool::Acquire() {
   if (free_.empty()) return std::vector<HistBin>(buffer_size_);
   std::vector<HistBin> buffer = std::move(free_.back());

@@ -2,9 +2,10 @@
 // la LightGBM). A node's per-feature histogram accumulates gradient (or
 // target) sums and counts per BinnedIndex bin with one contiguous uint8_t
 // scan; split candidates are then evaluated between consecutive non-empty
-// bins in O(bins) instead of O(n) exact values, and one child per split is
-// derived by parent-minus-sibling subtraction instead of a rescan. The
-// SplitBackend enum selects between the reference sort-per-node search, the
+// bins in O(bins) instead of O(n) exact values (the scans live with their
+// learners, in cart.cc and gbt.cc), and one child per split is derived by
+// parent-minus-sibling subtraction instead of a rescan. The SplitBackend
+// enum selects between the reference sort-per-node search, the
 // presorted-order search, and this histogram search in every tree config.
 // Every backend grows trees depth-wise.
 #ifndef REDS_ML_HISTOGRAM_H_
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "core/binned_index.h"
-#include "util/serialize.h"
 #include "util/simd.h"
 
 namespace reds::ml {
@@ -121,75 +121,6 @@ void AccumulateHistogramReference(const uint8_t* codes, const int* ids, int n,
 /// in-place use: the parent's buffer becomes the larger child's).
 void SubtractHistogram(const HistBin* parent, const HistBin* child,
                        HistBin* out, int num_bins);
-
-/// out[b] += other[b]: folds one shard's node histogram into the
-/// fleet-level sum. Bin-wise double/int addition -- commutative on counts,
-/// and exact (order-independent) on g/h whenever the per-row values are
-/// integers, e.g. REDS {0,1} relabel targets; the basis of the sharded
-/// tree fit's equivalence claim.
-void MergeHistogram(HistBin* out, const HistBin* other, int num_bins);
-
-/// Wire helpers for shipping one feature's bins through util/serialize
-/// (shard transport). Exact byte round-trip of g/h/count.
-void SerializeHistogram(const HistBin* bins, int num_bins,
-                        util::ByteWriter* out);
-bool DeserializeHistogram(util::ByteReader* in, HistBin* bins, int num_bins);
-
-/// One feature's best histogram split, as found by ScanHistogramSplits.
-/// Field semantics match cart.cc's SplitCandidate: feature < 0 means no
-/// positive-gain candidate passed the min_samples_leaf filter.
-struct HistogramSplit {
-  int feature = -1;
-  double threshold = 0.0;
-  double gain = 0.0;
-  int left_count = 0;
-  int boundary_bin = -1;  // last bin of the left side
-};
-
-/// The histogram split scan shared by RegressionTree's histogram backend
-/// and the shard coordinator's distributed fit: candidates between
-/// consecutive non-empty bins, SSE-reduction gain, midpoint thresholds
-/// from the bin bounds callables (so a BinnedIndex or a shard-global bin
-/// layout plug in alike). Seeded with `floor` as the gain to beat so a
-/// multi-feature caller chains scans: pass the running best's gain and
-/// keep the returned candidate only when feature >= 0.
-template <typename BinFirstFn, typename BinLastFn>
-HistogramSplit ScanHistogramSplits(const HistBin* hb, int num_bins,
-                                   int feature, double sum, int n,
-                                   int min_samples_leaf, double floor_gain,
-                                   BinFirstFn bin_first, BinLastFn bin_last) {
-  HistogramSplit cand;
-  cand.gain = floor_gain;
-  double left_sum = 0.0;
-  int left_count = 0;
-  int prev = -1;  // last non-empty bin folded into the left side
-  for (int b = 0; b < num_bins; ++b) {
-    if (hb[b].count == 0) continue;
-    if (prev >= 0) {
-      const int nl = left_count;
-      const int nr = n - nl;
-      if (nl >= min_samples_leaf && nr >= min_samples_leaf) {
-        const double right_sum = sum - left_sum;
-        const double gain = left_sum * left_sum / nl +
-                            right_sum * right_sum / nr - sum * sum / n;
-        if (gain > cand.gain) {
-          cand.feature = feature;
-          // Midpoint between the adjacent non-empty bins, matching the
-          // exact search's between-distinct-values threshold when bins
-          // are single values.
-          cand.threshold = 0.5 * (bin_last(prev) + bin_first(b));
-          cand.gain = gain;
-          cand.left_count = nl;
-          cand.boundary_bin = prev;
-        }
-      }
-    }
-    left_sum += hb[b].g;
-    left_count += hb[b].count;
-    prev = b;
-  }
-  return cand;
-}
 
 /// Reusable node-histogram buffers for the parent-minus-sibling recursion:
 /// at any moment one buffer per level of the active root-to-node path is

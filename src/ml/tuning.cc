@@ -110,13 +110,15 @@ std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
                                     const TuningConfig& config,
                                     bool tree_family,
                                     const ColumnIndex* index,
-                                    const BinnedIndex* binned) {
+                                    const BinnedIndex* binned,
+                                    std::vector<double>* cell_losses) {
   const std::vector<CvFoldRows> fold_rows =
       BuildFoldRows(d.num_rows(), config.folds, seed);
   std::shared_ptr<const ColumnIndex> owned_index;
   std::shared_ptr<const BinnedIndex> owned_binned;
   EnsureFoldIndexes(d, config, tree_family, &index, &binned, &owned_index,
                     &owned_binned);
+  if (cell_losses != nullptr) cell_losses->clear();
   double best_loss = std::numeric_limits<double>::infinity();
   size_t best = 0;
   for (size_t g = 0; g < grid.size(); ++g) {
@@ -124,6 +126,7 @@ std::unique_ptr<Metamodel> PickBest(const std::vector<ModelFactory>& grid,
         CrossValidate(grid[g], d, fold_rows, config.folds,
                       DeriveSeed(seed, static_cast<uint64_t>(g)), index,
                       binned);
+    if (cell_losses != nullptr) cell_losses->push_back(loss);
     if (loss < best_loss) {
       best_loss = loss;
       best = g;
@@ -141,10 +144,10 @@ int DefaultMtry(int m) {
   return std::max(1, static_cast<int>(std::sqrt(static_cast<double>(m))));
 }
 
-// The deterministic grid enumeration shared by TuneAndFit and the
-// per-cell API (TuningGridSize/TuningCellLoss/TuningCellFit). Cell order
-// is part of the contract: a sharded tuner that evaluates cells remotely
-// and argmins first-wins in cell index order reproduces PickBest exactly.
+// The deterministic grid enumeration shared by TuneAndFit and
+// TuningCellModel. Cell order is part of the contract: PickBest's per-cell
+// seeds and its first-wins argmin follow it, so a reference that refits
+// TuningCellModel(winner) reproduces TuneAndFit's model.
 std::vector<ModelFactory> BuildTuningGrid(MetamodelKind kind, int m,
                                           const TuningConfig& config) {
   const bool full = config.budget == TuningBudget::kFull;
@@ -239,36 +242,13 @@ std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
                                       uint64_t seed,
                                       const TuningConfig& config,
                                       const ColumnIndex* index,
-                                      const BinnedIndex* binned) {
+                                      const BinnedIndex* binned,
+                                      std::vector<double>* cell_losses) {
   obs::Span span("metamodel.tune");
   const std::vector<ModelFactory> grid =
       BuildTuningGrid(kind, d.num_cols(), config);
   return PickBest(grid, d, seed, config, kind != MetamodelKind::kSvm, index,
-                  binned);
-}
-
-int TuningGridSize(MetamodelKind kind, int num_features,
-                   const TuningConfig& config) {
-  return static_cast<int>(BuildTuningGrid(kind, num_features, config).size());
-}
-
-double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
-                      uint64_t seed, const TuningConfig& config,
-                      const ColumnIndex* index, const BinnedIndex* binned) {
-  const std::vector<ModelFactory> grid =
-      BuildTuningGrid(kind, d.num_cols(), config);
-  const std::vector<CvFoldRows> fold_rows =
-      BuildFoldRows(d.num_rows(), config.folds, seed);
-  std::shared_ptr<const ColumnIndex> owned_index;
-  std::shared_ptr<const BinnedIndex> owned_binned;
-  EnsureFoldIndexes(d, config, kind != MetamodelKind::kSvm, &index, &binned,
-                    &owned_index, &owned_binned);
-  // Same per-cell seed stream as PickBest's grid loop, so a cell's loss is
-  // the same whether it is evaluated here (a shard worker) or inline.
-  return CrossValidate(grid[static_cast<size_t>(cell)], d, fold_rows,
-                       config.folds,
-                       DeriveSeed(seed, static_cast<uint64_t>(cell)), index,
-                       binned);
+                  binned, cell_losses);
 }
 
 std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
@@ -276,16 +256,6 @@ std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
                                            const TuningConfig& config) {
   return BuildTuningGrid(kind, num_features,
                          config)[static_cast<size_t>(cell)]();
-}
-
-std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
-                                         const Dataset& d, uint64_t seed,
-                                         const TuningConfig& config,
-                                         const ColumnIndex* index,
-                                         const BinnedIndex* binned) {
-  auto model = TuningCellModel(kind, cell, d.num_cols(), config);
-  model->Fit(d, DeriveSeed(seed, 0xf17ULL), index, binned);
-  return model;
 }
 
 std::unique_ptr<Metamodel> FitMetamodel(MetamodelKind kind, const Dataset& d,

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/binned_index.h"
 #include "core/column_index.h"
@@ -37,43 +38,21 @@ std::vector<int> FoldAssignment(int n, int k, uint64_t seed);
 /// log-loss, then refits the winning configuration on all of d. Every grid
 /// candidate is evaluated on the same folds, fit through row views over
 /// one shared full-data index (prebuilt `index`/`binned` of d are reused
-/// when given), so tuning residency stays O(1 fold) regardless of k.
-std::unique_ptr<Metamodel> TuneAndFit(MetamodelKind kind, const Dataset& d,
-                                      uint64_t seed,
-                                      const TuningConfig& config = {},
-                                      const ColumnIndex* index = nullptr,
-                                      const BinnedIndex* binned = nullptr);
+/// when given), so tuning residency stays O(1 fold) regardless of k. When
+/// `cell_losses` is given it receives every grid cell's mean CV loss in
+/// cell order; the first minimum wins, and the winner refits with seed
+/// DeriveSeed(seed, 0xf17).
+std::unique_ptr<Metamodel> TuneAndFit(
+    MetamodelKind kind, const Dataset& d, uint64_t seed,
+    const TuningConfig& config = {}, const ColumnIndex* index = nullptr,
+    const BinnedIndex* binned = nullptr,
+    std::vector<double>* cell_losses = nullptr);
 
-/// Cell-level view of TuneAndFit's hyperparameter grid, for sharding the
-/// CV search across workers. The grid enumeration is deterministic in
-/// (kind, num_features, config) with a contractual cell order, so a
-/// coordinator that shards cell indices, collects per-cell losses, and
-/// argmins first-wins in cell order picks exactly PickBest's winner.
-int TuningGridSize(MetamodelKind kind, int num_features,
-                   const TuningConfig& config);
-
-/// Mean CV log-loss of grid cell `cell`, with
-/// the same folds (seed-derived) and per-cell seed stream as TuneAndFit --
-/// evaluating a cell here (e.g. on a shard worker) or inline gives the
-/// same double. Prebuilt full-data indexes of d are reused when given.
-double TuningCellLoss(MetamodelKind kind, int cell, const Dataset& d,
-                      uint64_t seed, const TuningConfig& config,
-                      const ColumnIndex* index = nullptr,
-                      const BinnedIndex* binned = nullptr);
-
-/// An unfitted model with grid cell `cell`'s hyperparameters.
+/// An unfitted model with grid cell `cell`'s hyperparameters, in
+/// TuneAndFit's cell order.
 std::unique_ptr<Metamodel> TuningCellModel(MetamodelKind kind, int cell,
                                            int num_features,
                                            const TuningConfig& config);
-
-/// Refits grid cell `cell`'s configuration on all of d with TuneAndFit's
-/// refit seed stream: TuningCellFit(kind, winner, ...) reproduces the model
-/// TuneAndFit returns, bit for bit.
-std::unique_ptr<Metamodel> TuningCellFit(MetamodelKind kind, int cell,
-                                         const Dataset& d, uint64_t seed,
-                                         const TuningConfig& config,
-                                         const ColumnIndex* index = nullptr,
-                                         const BinnedIndex* binned = nullptr);
 
 /// Fits the family with library defaults (no tuning) on the presorted
 /// split search. A prebuilt ColumnIndex of d (e.g. the engine's shared

@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "core/prim_loop.h"
-#include "ml/histogram.h"
-#include "ml/tree_wire.h"
 #include "shard/wire.h"
 
 namespace reds::shard {
@@ -119,7 +116,9 @@ Status ShardCoordinator::BuildGlobalBins() {
       part.vmin = in.VecF64();
       part.vmax = in.VecF64();
       if (!in.ok() ||
-          part.count.size() != upper[static_cast<size_t>(j)].size()) {
+          part.count.size() != upper[static_cast<size_t>(j)].size() ||
+          part.vmin.size() != part.count.size() ||
+          part.vmax.size() != part.count.size()) {
         return Status::InvalidArgument(
             "shard coordinator: bad coding stats reply");
       }
@@ -171,7 +170,8 @@ Status ShardCoordinator::RefreshAggregates(
       const std::vector<int> count = in.VecI32();
       const std::vector<double> pos = in.VecF64();
       if (!in.ok() ||
-          count.size() != bin_count_[static_cast<size_t>(j)].size()) {
+          count.size() != bin_count_[static_cast<size_t>(j)].size() ||
+          pos.size() != count.size()) {
         return Status::InvalidArgument(
             "shard coordinator: bad aggregate reply");
       }
@@ -353,260 +353,6 @@ Result<PrimResult> ShardCoordinator::RunPrim(const PrimConfig& config) {
                       total_pos, /*val=*/nullptr, config, &state);
   if (!state.error.ok()) return state.error;
   return result;
-}
-
-namespace {
-
-// Flat tree node matching RegressionTree's wire shape, so the distributed
-// fit serializes through the shared tree_wire layout and materializes as a
-// real RegressionTree.
-struct FleetTreeNode {
-  int feature = -1;
-  double threshold = 0.0;
-  int left = -1;
-  int right = -1;
-  double value = 0.0;
-};
-
-}  // namespace
-
-Result<ml::RegressionTree> ShardCoordinator::FitTree(
-    const ml::TreeConfig& config) {
-  if (bins_.num_rows == 0) {
-    return Status::FailedPrecondition(
-        "ShardCoordinator::FitTree before BuildGlobalBins");
-  }
-  if (config.backend != ml::SplitBackend::kHistogram) {
-    return Status::InvalidArgument(
-        "distributed tree fit supports the histogram backend only");
-  }
-  if (config.mtry > 0 && config.mtry < bins_.num_cols) {
-    return Status::InvalidArgument(
-        "distributed tree fit does not support mtry");
-  }
-
-  Status s = Broadcast(static_cast<uint8_t>(MsgType::kTreeStart), "");
-  if (!s.ok()) return s;
-  std::vector<std::string> replies;
-  s = Gather(static_cast<uint8_t>(MsgType::kTreeStartReply), &replies);
-  if (!s.ok()) return s;
-  Moments root;
-  for (const std::string& reply : replies) {
-    util::ByteReader in(reply);
-    root.sum += in.F64();
-    root.sum_sq += in.F64();
-    root.count += static_cast<int64_t>(in.U64());
-    if (!in.ok()) {
-      return Status::InvalidArgument("shard coordinator: bad tree start");
-    }
-  }
-  if (root.count != bins_.num_rows) {
-    return Status::InvalidArgument(
-        "shard coordinator: tree root count mismatch");
-  }
-
-  const int m = bins_.num_cols;
-  std::vector<FleetTreeNode> nodes;
-  int next_seg = 1;
-  std::vector<std::vector<ml::HistBin>> merged(static_cast<size_t>(m));
-  std::vector<ml::HistBin> scratch;
-
-  // The exact BuildHistogram recursion, with worker rounds in place of row
-  // scans: node created before its children (same indices), stop rules on
-  // fleet-exact moments, the shared split scan on fleet-merged histograms,
-  // children left-then-right.
-  std::function<Result<int>(int, const Moments&, int)> fit_node =
-      [&](int seg, const Moments& mom, int depth) -> Result<int> {
-    const int n = static_cast<int>(mom.count);
-    const int node_index = static_cast<int>(nodes.size());
-    nodes.emplace_back();
-    nodes.back().value = mom.sum / n;
-
-    const bool depth_ok = config.max_depth < 0 || depth < config.max_depth;
-    const double sse = mom.sum_sq - mom.sum * mom.sum / n;
-    if (!depth_ok || n < config.min_samples_split || sse <= config.min_gain) {
-      return node_index;
-    }
-
-    util::ByteWriter req;
-    req.I32(seg);
-    Status hs = Broadcast(static_cast<uint8_t>(MsgType::kTreeHist),
-                          req.data());
-    if (!hs.ok()) return hs;
-    std::vector<std::string> hist_replies;
-    hs = Gather(static_cast<uint8_t>(MsgType::kTreeHistReply), &hist_replies);
-    if (!hs.ok()) return hs;
-    for (int f = 0; f < m; ++f) {
-      merged[static_cast<size_t>(f)].assign(
-          static_cast<size_t>(bins_.num_bins[static_cast<size_t>(f)]),
-          ml::HistBin{});
-    }
-    for (const std::string& reply : hist_replies) {
-      util::ByteReader in(reply);
-      for (int f = 0; f < m; ++f) {
-        const int live = bins_.num_bins[static_cast<size_t>(f)];
-        scratch.assign(static_cast<size_t>(live), ml::HistBin{});
-        if (!ml::DeserializeHistogram(&in, scratch.data(), live)) {
-          return Status::InvalidArgument(
-              "shard coordinator: bad tree histogram reply");
-        }
-        ml::MergeHistogram(merged[static_cast<size_t>(f)].data(),
-                           scratch.data(), live);
-      }
-    }
-
-    // Serial feature order with a strict `gain >` -- exactly
-    // BestSplitOverFeatures' merge discipline over the full feature set.
-    ml::HistogramSplit best;
-    best.gain = 0.0;
-    for (int f = 0; f < m; ++f) {
-      const ml::HistogramSplit cand = ml::ScanHistogramSplits(
-          merged[static_cast<size_t>(f)].data(),
-          bins_.num_bins[static_cast<size_t>(f)], f, mom.sum, n,
-          config.min_samples_leaf, 0.0,
-          [&](int b) {
-            return bins_.bin_first[static_cast<size_t>(f)]
-                                  [static_cast<size_t>(b)];
-          },
-          [&](int b) {
-            return bins_.bin_last[static_cast<size_t>(f)]
-                                 [static_cast<size_t>(b)];
-          });
-      if (cand.feature >= 0 && cand.gain > best.gain) best = cand;
-    }
-    if (best.feature < 0 || best.gain <= config.min_gain) return node_index;
-    if (best.left_count == 0 || best.left_count == n) return node_index;
-
-    const int left_seg = next_seg++;
-    const int right_seg = next_seg++;
-    util::ByteWriter split;
-    split.I32(seg);
-    split.I32(left_seg);
-    split.I32(right_seg);
-    split.I32(best.feature);
-    split.I32(best.boundary_bin);
-    hs = Broadcast(static_cast<uint8_t>(MsgType::kTreeSplit), split.data());
-    if (!hs.ok()) return hs;
-    std::vector<std::string> split_replies;
-    hs = Gather(static_cast<uint8_t>(MsgType::kTreeSplitReply),
-                &split_replies);
-    if (!hs.ok()) return hs;
-    Moments left_mom, right_mom;
-    for (const std::string& reply : split_replies) {
-      util::ByteReader in(reply);
-      left_mom.sum += in.F64();
-      left_mom.sum_sq += in.F64();
-      left_mom.count += static_cast<int64_t>(in.U64());
-      right_mom.sum += in.F64();
-      right_mom.sum_sq += in.F64();
-      right_mom.count += static_cast<int64_t>(in.U64());
-      if (!in.ok()) {
-        return Status::InvalidArgument(
-            "shard coordinator: bad tree split reply");
-      }
-    }
-    if (left_mom.count + right_mom.count != n ||
-        left_mom.count != best.left_count) {
-      return Status::InvalidArgument(
-          "shard coordinator: tree split counts drifted (non-exact-pack "
-          "bins?)");
-    }
-
-    Result<int> left = fit_node(left_seg, left_mom, depth + 1);
-    if (!left.ok()) return left;
-    Result<int> right = fit_node(right_seg, right_mom, depth + 1);
-    if (!right.ok()) return right;
-    nodes[static_cast<size_t>(node_index)].feature = best.feature;
-    nodes[static_cast<size_t>(node_index)].threshold = best.threshold;
-    nodes[static_cast<size_t>(node_index)].left = *left;
-    nodes[static_cast<size_t>(node_index)].right = *right;
-    return node_index;
-  };
-
-  Result<int> fit = fit_node(0, root, 0);
-  Status finish = Broadcast(static_cast<uint8_t>(MsgType::kTreeFinish), "");
-  if (!fit.ok()) return fit.status();
-  if (!finish.ok()) return finish;
-
-  util::ByteWriter wire;
-  ml::SerializeTreeNodes(nodes, &FleetTreeNode::value, &wire);
-  util::ByteReader reader(wire.data());
-  ml::RegressionTree tree;
-  Status parse = tree.DeserializeFrom(&reader, m);
-  if (!parse.ok()) return parse;
-  return tree;
-}
-
-Result<std::unique_ptr<ml::Metamodel>> ShardCoordinator::TuneAndFitSharded(
-    ml::MetamodelKind kind, const Dataset& d, uint64_t seed,
-    const ml::TuningConfig& config) {
-  const int grid = ml::TuningGridSize(kind, d.num_cols(), config);
-  if (grid <= 0) return Status::InvalidArgument("empty tuning grid");
-  const int W = num_workers();
-
-  // D is small (the paper's N ~ 1e3 design sample): ship it whole so each
-  // worker evaluates its cells with full-data CV, exactly as TuneAndFit
-  // would inline.
-  std::vector<double> x;
-  std::vector<double> y;
-  x.reserve(static_cast<size_t>(d.num_rows()) * d.num_cols());
-  y.reserve(static_cast<size_t>(d.num_rows()));
-  for (int r = 0; r < d.num_rows(); ++r) {
-    const double* row = d.row(r);
-    x.insert(x.end(), row, row + d.num_cols());
-    y.push_back(d.y(r));
-  }
-
-  for (int w = 0; w < W; ++w) {
-    std::vector<int> cells;
-    for (int g = w; g < grid; g += W) cells.push_back(g);
-    util::ByteWriter msg;
-    msg.U8(static_cast<uint8_t>(kind));
-    msg.U64(seed);
-    msg.U8(static_cast<uint8_t>(config.budget));
-    msg.I32(config.folds);
-    msg.U8(static_cast<uint8_t>(config.backend));
-    msg.I32(d.num_cols());
-    msg.VecF64(x);
-    msg.VecF64(y);
-    msg.VecI32(cells);
-    Status s = WriteFrame(fds_[static_cast<size_t>(w)], MsgType::kTuneCells,
-                          msg.data());
-    if (!s.ok()) return s;
-  }
-
-  std::vector<double> losses(static_cast<size_t>(grid),
-                             std::numeric_limits<double>::infinity());
-  for (int w = 0; w < W; ++w) {
-    Result<Frame> frame =
-        ExpectFrame(fds_[static_cast<size_t>(w)], MsgType::kTuneReply);
-    if (!frame.ok()) return frame.status();
-    util::ByteReader in(frame->payload);
-    const uint64_t count = in.U64();
-    for (uint64_t i = 0; i < count && in.ok(); ++i) {
-      const int cell = in.I32();
-      const double loss = in.F64();
-      if (cell < 0 || cell >= grid) {
-        return Status::InvalidArgument("shard coordinator: bad tune cell");
-      }
-      losses[static_cast<size_t>(cell)] = loss;
-    }
-    if (!in.ok()) {
-      return Status::InvalidArgument("shard coordinator: bad tune reply");
-    }
-  }
-
-  // First-wins argmin in cell order == PickBest's `loss < best_loss` over
-  // the same grid enumeration.
-  double best_loss = std::numeric_limits<double>::infinity();
-  int best = 0;
-  for (int g = 0; g < grid; ++g) {
-    if (losses[static_cast<size_t>(g)] < best_loss) {
-      best_loss = losses[static_cast<size_t>(g)];
-      best = g;
-    }
-  }
-  return ml::TuningCellFit(kind, best, d, seed, config);
 }
 
 Status ShardCoordinator::CollectMetrics(obs::MetricsRegistry* registry) {

@@ -4,20 +4,19 @@
 // one global bin set (the same AssembleColumnBins code path BuildStreamed
 // runs, so bins are identical to a single-process build in the exact-pack
 // regime), re-sums per-worker per-bin aggregates after every PRIM peel
-// (one round trip per applied peel), merges per-node histograms for the
-// distributed tree fit, shards the CV tuning grid, and folds worker
-// MetricsRegistry snapshots into one fleet view.
+// (one round trip per applied peel), and folds worker MetricsRegistry
+// snapshots into one fleet view. Only the PRIM pass over the L relabeled
+// points is sharded: metamodels are fit (and tuned) in process on the
+// small design sample D.
 #ifndef REDS_SHARD_COORDINATOR_H_
 #define REDS_SHARD_COORDINATOR_H_
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/binned_index.h"
 #include "core/prim.h"
-#include "ml/cart.h"
-#include "ml/tuning.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
@@ -59,23 +58,6 @@ class ShardCoordinator {
   /// the union in the exact-pack regime. Requires BuildGlobalBins.
   Result<PrimResult> RunPrim(const PrimConfig& config);
 
-  /// Distributed depth-wise histogram CART over the sharded stream
-  /// (labels as targets): per node, workers ship local per-feature
-  /// histograms; the coordinator merges them (MergeHistogram), runs the
-  /// shared ScanHistogramSplits scan, and broadcasts the chosen split.
-  /// mtry is not supported (the randomized path is covered by tuning-cell
-  /// sharding instead). Bit-identical to RegressionTree::Fit(kHistogram)
-  /// for {0,1} labels in the exact-pack regime. Requires BuildGlobalBins.
-  Result<ml::RegressionTree> FitTree(const ml::TreeConfig& config);
-
-  /// Sharded CV grid tuning: D (small) is serialized to every worker,
-  /// grid cells are dealt round-robin, per-cell losses come back, and the
-  /// first-wins argmin in cell order reproduces TuneAndFit's pick exactly;
-  /// the winning cell is refit locally. Returns the fitted model.
-  Result<std::unique_ptr<ml::Metamodel>> TuneAndFitSharded(
-      ml::MetamodelKind kind, const Dataset& d, uint64_t seed,
-      const ml::TuningConfig& config);
-
   /// Folds every worker's RegistrySnapshot into `registry` (and counts the
   /// collection itself on the coordinator's own metric names).
   Status CollectMetrics(obs::MetricsRegistry* registry);
@@ -85,12 +67,6 @@ class ShardCoordinator {
 
  private:
   friend struct FleetPeelState;
-
-  struct Moments {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    int64_t count = 0;
-  };
 
   Status Broadcast(uint8_t type, const std::string& payload);
   /// Gathers one reply of `type` from every worker, in worker-index order.

@@ -18,9 +18,10 @@
 
 namespace reds::shard {
 
-/// Shard protocol message types. The coordinator speaks first; every
-/// request type has one reply type so the protocol is a strict sequence of
-/// (broadcast, gather) rounds and cannot deadlock.
+/// Shard protocol message types: binning rounds, PRIM rounds, then metrics
+/// and shutdown. The coordinator speaks first; every request type has one
+/// reply type so the protocol is a strict sequence of (broadcast, gather)
+/// rounds and cannot deadlock.
 enum class MsgType : uint8_t {
   // Binning rounds.
   kSketchRequest = 1,   // -> worker: run the sketch pass over your shard
@@ -36,18 +37,9 @@ enum class MsgType : uint8_t {
   kPeel = 9,            // -> worker: apply (dim, side, boundary bin)
   kPeelReply = 10,      // <- worker: full updated local aggregates
 
-  // Distributed tree-fit rounds.
-  kTreeStart = 11,      // -> worker: init node 0 = all local rows
-  kTreeStartReply = 12, // <- worker: local root moments (sum, sum_sq, n)
-  kTreeHist = 13,       // -> worker: histogram the given node's segment
-  kTreeHistReply = 14,  // <- worker: per-feature local histograms
-  kTreeSplit = 15,      // -> worker: partition a node into two children
-  kTreeSplitReply = 16, // <- worker: both children's local moments
-  kTreeFinish = 17,     // -> worker: drop tree-fit state
-
-  // Sharded CV tuning.
-  kTuneCells = 18,      // -> worker: evaluate these grid cells on D
-  kTuneReply = 19,      // <- worker: per-cell CV losses
+  // Values 11-19 stay unassigned: older peers sent them (tree-fit and
+  // tuning rounds), so a worker refuses them as unexpected rather than
+  // misreading one as a newer type.
 
   // Fleet observability + teardown.
   kMetricsRequest = 20, // -> worker: snapshot your registry

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <string>
 
 #include "core/binned_index.h"
-#include "core/dataset.h"
-#include "ml/histogram.h"
-#include "ml/tuning.h"
 #include "shard/wire.h"
 #include "util/serialize.h"
 
@@ -19,6 +15,12 @@ namespace internal {
 
 ShardWorker::ShardWorker(int fd, DatasetSource* source)
     : fd_(fd), source_(source) {}
+
+Status ShardWorker::RequireStage(Stage need, const char* request) const {
+  if (stage_ >= need) return Status::OK();
+  return Status::FailedPrecondition(std::string("shard worker: ") + request +
+                                    " arrived out of order");
+}
 
 Status ShardWorker::Serve() {
   for (;;) {
@@ -40,21 +42,6 @@ Status ShardWorker::Serve() {
         break;
       case MsgType::kPeel:
         s = HandlePeel(frame->payload);
-        break;
-      case MsgType::kTreeStart:
-        s = HandleTreeStart();
-        break;
-      case MsgType::kTreeHist:
-        s = HandleTreeHist(frame->payload);
-        break;
-      case MsgType::kTreeSplit:
-        s = HandleTreeSplit(frame->payload);
-        break;
-      case MsgType::kTreeFinish:
-        segments_.clear();
-        break;
-      case MsgType::kTuneCells:
-        s = HandleTuneCells(frame->payload);
         break;
       case MsgType::kMetricsRequest:
         s = HandleMetrics();
@@ -78,70 +65,6 @@ Status ShardWorker::Serve() {
       return s;
     }
   }
-}
-
-Status ShardWorker::HandleTuneCells(const std::string& payload) {
-  // Every field is checked before it becomes an enum, a Dataset shape or a
-  // grid index: the payload is wire bytes, and TuningCellLoss trusts all
-  // of them.
-  const auto bad = [](const char* what) {
-    return Status::InvalidArgument(
-        std::string("shard worker: bad kTuneCells payload: ") + what);
-  };
-  util::ByteReader in(payload);
-  const uint8_t kind_byte = in.U8();
-  const uint64_t seed = in.U64();
-  const uint8_t budget_byte = in.U8();
-  const int32_t folds = in.I32();
-  const uint8_t backend_byte = in.U8();
-  const int32_t num_cols = in.I32();
-  std::vector<double> x = in.VecF64();
-  std::vector<double> y = in.VecF64();
-  const std::vector<int> cells = in.VecI32();
-  if (!in.ok() || in.remaining() != 0) return bad("truncated or oversized");
-  if (kind_byte > static_cast<uint8_t>(ml::MetamodelKind::kSvm)) {
-    return bad("unknown metamodel kind");
-  }
-  if (budget_byte > static_cast<uint8_t>(ml::TuningBudget::kFull)) {
-    return bad("unknown tuning budget");
-  }
-  if (backend_byte > static_cast<uint8_t>(ml::SplitBackend::kHistogram)) {
-    return bad("unknown split backend");
-  }
-  if (folds < 2) return bad("fewer than 2 folds");
-  if (num_cols <= 0) return bad("no columns");
-  if (x.size() % static_cast<size_t>(num_cols) != 0 ||
-      x.size() / static_cast<size_t>(num_cols) != y.size()) {
-    return bad("x and y disagree on the row count");
-  }
-  if (y.size() < static_cast<size_t>(folds)) {
-    return bad("fewer rows than folds");
-  }
-  const int rows = static_cast<int>(y.size());
-  Status finite = CheckFiniteBlock(x.data(), rows, num_cols);
-  if (!finite.ok()) return finite;
-  for (double v : y) {
-    if (!std::isfinite(v)) return bad("non-finite label");
-  }
-  const auto kind = static_cast<ml::MetamodelKind>(kind_byte);
-  ml::TuningConfig config;
-  config.budget = static_cast<ml::TuningBudget>(budget_byte);
-  config.folds = folds;
-  config.backend = static_cast<ml::SplitBackend>(backend_byte);
-  const int grid = ml::TuningGridSize(kind, num_cols, config);
-  for (int cell : cells) {
-    if (cell < 0 || cell >= grid) return bad("grid cell out of range");
-  }
-
-  const Dataset d(num_cols, std::move(x), std::move(y));
-  util::ByteWriter out;
-  out.U64(cells.size());
-  for (int cell : cells) {
-    metrics_.counter("shard.worker.tune_cells")->Add();
-    out.I32(cell);
-    out.F64(ml::TuningCellLoss(kind, cell, d, seed, config));
-  }
-  return WriteFrame(fd_, MsgType::kTuneReply, out);
 }
 
 Status ShardWorker::HandleSketch(const std::string& payload) {
@@ -196,10 +119,13 @@ Status ShardWorker::HandleSketch(const std::string& payload) {
   out.U64(static_cast<uint64_t>(n_));
   out.I32(m_);
   for (const ColumnSketch& cs : acc) cs.SerializeTo(&out);
+  stage_ = Stage::kSketched;
   return WriteFrame(fd_, MsgType::kSketchReply, out);
 }
 
 Status ShardWorker::HandleBins(const std::string& payload) {
+  Status order = RequireStage(Stage::kSketched, "kBins");
+  if (!order.ok()) return order;
   util::ByteReader in(payload);
   const int m = in.I32();
   if (!in.ok() || m != m_) {
@@ -219,9 +145,12 @@ Status ShardWorker::HandleBins(const std::string& payload) {
   if (!reset.ok()) return reset;
 
   codes_.assign(static_cast<size_t>(m_), {});
+  raw_bins_.assign(static_cast<size_t>(m_), 0);
   std::vector<BinCodingStats> stats(static_cast<size_t>(m_));
   for (int j = 0; j < m_; ++j) {
     codes_[static_cast<size_t>(j)].reserve(static_cast<size_t>(n_));
+    raw_bins_[static_cast<size_t>(j)] =
+        static_cast<int>(upper[static_cast<size_t>(j)].size());
     stats[static_cast<size_t>(j)].Reset(upper[static_cast<size_t>(j)].size());
   }
   std::vector<StreamedCoder> coders;
@@ -262,10 +191,16 @@ Status ShardWorker::HandleBins(const std::string& payload) {
     out.VecF64(cs.vmin);
     out.VecF64(cs.vmax);
   }
+  stage_ = Stage::kCoded;
   return WriteFrame(fd_, MsgType::kCodingReply, out);
 }
 
 Status ShardWorker::HandleLayout(const std::string& payload) {
+  // The layout maps raw codes, so it applies once per kBins coding pass.
+  if (stage_ != Stage::kCoded) {
+    return Status::FailedPrecondition(
+        "shard worker: kLayout arrived out of order");
+  }
   util::ByteReader in(payload);
   num_bins_.assign(static_cast<size_t>(m_), 0);
   perm_.assign(static_cast<size_t>(m_), {});
@@ -273,7 +208,13 @@ Status ShardWorker::HandleLayout(const std::string& payload) {
   for (int j = 0; j < m_; ++j) {
     const int live = in.I32();
     const std::vector<uint8_t> remap = in.VecU8();
-    if (!in.ok() || live < 1 || live > 256) {
+    const size_t raw = static_cast<size_t>(raw_bins_[static_cast<size_t>(j)]);
+    // Every local code indexes remap, and every remapped code indexes the
+    // live bins.
+    if (!in.ok() || live < 1 || remap.size() != raw ||
+        static_cast<size_t>(live) > raw ||
+        std::any_of(remap.begin(), remap.end(),
+                    [live](uint8_t b) { return b >= live; })) {
       return Status::InvalidArgument("shard worker: bad kLayout payload");
     }
     num_bins_[static_cast<size_t>(j)] = live;
@@ -304,10 +245,13 @@ Status ShardWorker::HandleLayout(const std::string& payload) {
   if (!in.AtEnd()) {
     return Status::InvalidArgument("shard worker: trailing kLayout bytes");
   }
+  stage_ = Stage::kLaidOut;
   return WriteFrame(fd_, MsgType::kLayoutAck, std::string());
 }
 
 Status ShardWorker::HandlePeelInit() {
+  Status order = RequireStage(Stage::kLaidOut, "kPeelInit");
+  if (!order.ok()) return order;
   in_box_.assign(static_cast<size_t>(n_), 1);
   n_box_ = n_;
   lo_rank_.assign(static_cast<size_t>(m_), 0);
@@ -344,6 +288,7 @@ Status ShardWorker::HandlePeelInit() {
   }
   std::string reply(1, integral ? '\x01' : '\x00');
   reply += AggregatesPayload();
+  stage_ = Stage::kPeeling;
   return WriteFrame(fd_, MsgType::kPeelInitReply, reply);
 }
 
@@ -370,6 +315,8 @@ void ShardWorker::RemoveRow(int r) {
 }
 
 Status ShardWorker::HandlePeel(const std::string& payload) {
+  Status order = RequireStage(Stage::kPeeling, "kPeel");
+  if (!order.ok()) return order;
   util::ByteReader in(payload);
   const int dim = in.I32();
   const bool low = in.U8() != 0;
@@ -414,86 +361,6 @@ Status ShardWorker::HandlePeel(const std::string& payload) {
     }
   }
   return WriteFrame(fd_, MsgType::kPeelReply, AggregatesPayload());
-}
-
-Status ShardWorker::HandleTreeStart() {
-  segments_.clear();
-  std::vector<int>& root = segments_[0];
-  root.resize(static_cast<size_t>(n_));
-  for (int r = 0; r < n_; ++r) root[static_cast<size_t>(r)] = r;
-  double sum = 0.0, sum_sq = 0.0;
-  for (double y : y_) {
-    sum += y;
-    sum_sq += y * y;
-  }
-  util::ByteWriter out;
-  out.F64(sum);
-  out.F64(sum_sq);
-  out.U64(static_cast<uint64_t>(n_));
-  return WriteFrame(fd_, MsgType::kTreeStartReply, out);
-}
-
-Status ShardWorker::HandleTreeHist(const std::string& payload) {
-  util::ByteReader in(payload);
-  const int seg = in.I32();
-  const auto it = segments_.find(seg);
-  if (!in.ok() || it == segments_.end()) {
-    return Status::InvalidArgument("shard worker: unknown tree segment");
-  }
-  const std::vector<int>& rows = it->second;
-  util::ByteWriter out;
-  std::vector<ml::HistBin> bins;
-  for (int j = 0; j < m_; ++j) {
-    const int live = num_bins_[static_cast<size_t>(j)];
-    bins.assign(static_cast<size_t>(live), ml::HistBin{});
-    ml::AccumulateHistogram(codes_[static_cast<size_t>(j)].data(),
-                            rows.data(), static_cast<int>(rows.size()),
-                            y_.data(), bins.data());
-    ml::SerializeHistogram(bins.data(), live, &out);
-  }
-  return WriteFrame(fd_, MsgType::kTreeHistReply, out);
-}
-
-Status ShardWorker::HandleTreeSplit(const std::string& payload) {
-  util::ByteReader in(payload);
-  const int seg = in.I32();
-  const int left_seg = in.I32();
-  const int right_seg = in.I32();
-  const int feature = in.I32();
-  const int boundary_bin = in.I32();
-  auto it = segments_.find(seg);
-  if (!in.ok() || it == segments_.end() || feature < 0 || feature >= m_) {
-    return Status::InvalidArgument("shard worker: bad kTreeSplit payload");
-  }
-  const std::vector<uint8_t>& codes = codes_[static_cast<size_t>(feature)];
-  std::vector<int> left, right;
-  double sum_l = 0.0, sq_l = 0.0, sum_r = 0.0, sq_r = 0.0;
-  for (int r : it->second) {
-    const double y = y_[static_cast<size_t>(r)];
-    // Partition by bin code against the global boundary bin. In the
-    // exact-pack regime (one distinct value per bin) this is exactly the
-    // single-process partition by value against the midpoint threshold.
-    if (codes[static_cast<size_t>(r)] <= boundary_bin) {
-      left.push_back(r);
-      sum_l += y;
-      sq_l += y * y;
-    } else {
-      right.push_back(r);
-      sum_r += y;
-      sq_r += y * y;
-    }
-  }
-  segments_.erase(it);
-  util::ByteWriter out;
-  out.F64(sum_l);
-  out.F64(sq_l);
-  out.U64(static_cast<uint64_t>(left.size()));
-  out.F64(sum_r);
-  out.F64(sq_r);
-  out.U64(static_cast<uint64_t>(right.size()));
-  segments_[left_seg] = std::move(left);
-  segments_[right_seg] = std::move(right);
-  return WriteFrame(fd_, MsgType::kTreeSplitReply, out);
 }
 
 Status ShardWorker::HandleMetrics() {

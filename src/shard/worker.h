@@ -4,14 +4,17 @@
 // the partition's quantized state -- local codes against the global bins,
 // the local label vector, per-dimension permutations and per-global-bin
 // aggregates -- so the coordinator only ever sees O(dims x bins) summaries,
-// never rows. Runs identically as an in-process thread (socketpair), a
-// forked child (pipe), or a separate process (UNIX socket): the fd is the
-// whole interface.
+// never rows. Requests are served in protocol order (sketch, bins, layout,
+// peel init, peels); one that arrives early, a malformed payload or an
+// unknown type byte ends the worker with a typed status, sent back in a
+// kWorkerError frame. Runs identically as an in-process thread
+// (socketpair), a forked child (pipe), or a separate process (UNIX
+// socket): the fd is the whole interface.
 #ifndef REDS_SHARD_WORKER_H_
 #define REDS_SHARD_WORKER_H_
 
 #include <cstdint>
-#include <map>
+#include <string>
 #include <vector>
 
 #include "core/dataset_source.h"
@@ -41,10 +44,6 @@ class ShardWorker {
   Status HandleLayout(const std::string& payload);
   Status HandlePeelInit();
   Status HandlePeel(const std::string& payload);
-  Status HandleTreeStart();
-  Status HandleTreeHist(const std::string& payload);
-  Status HandleTreeSplit(const std::string& payload);
-  Status HandleTuneCells(const std::string& payload);
   Status HandleMetrics();
 
   /// Serializes every dimension's in-box per-bin aggregates (the reply
@@ -53,9 +52,16 @@ class ShardWorker {
 
   void RemoveRow(int r);
 
+  /// How far the protocol has run. Each request needs the state an earlier
+  /// round built; one that arrives before it is refused, not served over
+  /// empty or stale buffers.
+  enum class Stage { kFresh, kSketched, kCoded, kLaidOut, kPeeling };
+  Status RequireStage(Stage need, const char* request) const;
+
   int fd_;
   DatasetSource* source_;
   obs::MetricsRegistry metrics_;
+  Stage stage_ = Stage::kFresh;
 
   // Streamed-build configuration, received with kSketchRequest.
   int block_rows_ = 0;
@@ -67,6 +73,7 @@ class ShardWorker {
   int n_ = 0;                                 // local rows
   std::vector<double> y_;                     // [local row]
   std::vector<std::vector<uint8_t>> codes_;   // [dim][local row], global bins
+  std::vector<int> raw_bins_;                 // [dim] bounds sent with kBins
   std::vector<int> num_bins_;                 // [dim] global live bins
   std::vector<std::vector<int>> perm_;        // [dim] rows by (code, row id)
   std::vector<std::vector<int>> begins_;      // [dim][bin] local rank offsets
@@ -78,9 +85,6 @@ class ShardWorker {
   std::vector<int> hi_rank_;
   std::vector<std::vector<int>> bin_count_;
   std::vector<std::vector<double>> bin_pos_;
-
-  // Distributed tree fit: segment id -> local member rows.
-  std::map<int, std::vector<int>> segments_;
 };
 
 }  // namespace internal

@@ -1,10 +1,10 @@
-// Sharded discovery: wire framing, the deterministic shard source, and the
-// coordinator/worker fleet's bit-identity contract against the
-// single-process streamed kernels -- global bins, PRIM box sequences, the
-// distributed histogram tree fit, sharded CV tuning, and fleet metrics
-// folding. Workers run as in-process threads over socketpairs (the engine
-// transport); the multi-process UNIX-socket path is exercised by the CI
-// smoke on examples/shard_worker.
+// Sharded discovery: wire framing, the worker's refusal of malformed,
+// out-of-order and retired requests, the deterministic shard source, and
+// the coordinator/worker fleet's bit-identity contract against the
+// single-process streamed kernels -- global bins, PRIM box sequences and
+// fleet metrics folding. Workers run as in-process threads over
+// socketpairs (the engine transport); the multi-process UNIX-socket path
+// is exercised by the CI smoke on examples/shard_worker.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -24,9 +23,6 @@
 #include "core/binned_index.h"
 #include "core/dataset_source.h"
 #include "core/prim.h"
-#include "ml/cart.h"
-#include "ml/serialize.h"
-#include "ml/tuning.h"
 #include "obs/metrics.h"
 #include "shard/coordinator.h"
 #include "shard/source_spec.h"
@@ -136,36 +132,285 @@ TEST(ShardWireTest, EofIsIoError) {
   ::close(sv[1]);
 }
 
+// One worker thread over a socketpair, driven frame by frame from the test
+// body through fd(). Finish() half-closes the test's end, so a worker still
+// waiting for a request reads EOF and leaves, and returns its exit status.
+class ScriptedWorker {
+ public:
+  ScriptedWorker() {
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv_), 0);
+    thread_ = std::thread([this] {
+      SyntheticBlockSource source(TestSpec(), 1, 0);
+      served_ = RunShardWorker(sv_[1], &source);
+    });
+  }
+
+  ~ScriptedWorker() {
+    if (thread_.joinable()) (void)Finish();
+    ::close(sv_[0]);
+    ::close(sv_[1]);
+  }
+
+  ScriptedWorker(const ScriptedWorker&) = delete;
+  ScriptedWorker& operator=(const ScriptedWorker&) = delete;
+
+  int fd() const { return sv_[0]; }
+
+  Status Finish() {
+    ::shutdown(sv_[0], SHUT_WR);
+    thread_.join();
+    return served_;
+  }
+
+  // Sends one request and returns the status of the awaited reply: OK, or
+  // the status a kWorkerError frame carries.
+  Status Request(MsgType type, const std::string& payload, MsgType reply) {
+    Status s = WriteFrame(fd(), type, payload);
+    if (s.ok()) s = ExpectFrame(fd(), reply).status();
+    return s;
+  }
+
+  Status Sketch() {
+    const SourceSpec spec = TestSpec();
+    util::ByteWriter sketch;
+    sketch.I32(spec.block_rows);
+    sketch.I32(BinnedIndex::kMaxBins);
+    sketch.F64(1.0 / 2048.0);
+    return Request(MsgType::kSketchRequest, sketch.data(),
+                   MsgType::kSketchReply);
+  }
+
+  // kBins with the same `bounds` for every column.
+  Status Bins(const std::vector<double>& bounds) {
+    util::ByteWriter bins;
+    bins.I32(TestSpec().dims);
+    for (int j = 0; j < TestSpec().dims; ++j) bins.VecF64(bounds);
+    return Request(MsgType::kBins, bins.data(), MsgType::kCodingReply);
+  }
+
+  // kLayout with the same (live, remap) for every column.
+  Status Layout(int live, const std::vector<uint8_t>& remap) {
+    util::ByteWriter layout;
+    for (int j = 0; j < TestSpec().dims; ++j) {
+      layout.I32(live);
+      layout.VecU8(remap);
+    }
+    return Request(MsgType::kLayout, layout.data(), MsgType::kLayoutAck);
+  }
+
+  Status Peel() {
+    util::ByteWriter peel;
+    peel.I32(0);
+    peel.U8(1);
+    peel.I32(1);
+    return Request(MsgType::kPeel, peel.data(), MsgType::kPeelReply);
+  }
+
+ private:
+  int sv_[2] = {-1, -1};
+  Status served_ = Status::OK();
+  std::thread thread_;
+};
+
+// Four raw bins per column (codes 0..3) for the scripted worker's rows.
+const std::vector<double> kFourBounds = {0.25, 0.5, 0.75, 1.0};
+
 TEST(ShardWireTest, WorkerRejectsMoreBinBoundsThanCodesHold) {
   // Codes are uint8: a kBins payload with more than 256 bounds per column
   // is refused before any row is coded.
-  const SourceSpec spec = TestSpec();
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  Status served = Status::OK();
-  std::thread worker([&] {
-    SyntheticBlockSource source(spec, 1, 0);
-    served = RunShardWorker(sv[1], &source);
-  });
-  util::ByteWriter sketch;
-  sketch.I32(spec.block_rows);
-  sketch.I32(BinnedIndex::kMaxBins);
-  sketch.F64(1.0 / 2048.0);
-  ASSERT_TRUE(WriteFrame(sv[0], MsgType::kSketchRequest, sketch.data()).ok());
-  ASSERT_TRUE(ExpectFrame(sv[0], MsgType::kSketchReply).ok());
-  util::ByteWriter bins;
-  bins.I32(spec.dims);
+  ScriptedWorker worker;
+  ASSERT_TRUE(worker.Sketch().ok());
   std::vector<double> bounds(BinnedIndex::kMaxBins + 1);
   for (size_t b = 0; b < bounds.size(); ++b) bounds[b] = static_cast<double>(b);
-  for (int j = 0; j < spec.dims; ++j) bins.VecF64(bounds);
-  ASSERT_TRUE(WriteFrame(sv[0], MsgType::kBins, bins.data()).ok());
-  // A worker that accepted the bins then reads EOF instead of hanging.
-  ::shutdown(sv[0], SHUT_WR);
-  worker.join();
+  EXPECT_EQ(worker.Bins(bounds).code(), Status::Code::kInvalidArgument);
+  const Status served = worker.Finish();
   EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
       << served.ToString();
-  ::close(sv[0]);
-  ::close(sv[1]);
+}
+
+TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
+  {
+    // The well-formed sequence is served, and peels run after init.
+    ScriptedWorker worker;
+    ASSERT_TRUE(worker.Sketch().ok());
+    ASSERT_TRUE(worker.Bins(kFourBounds).ok());
+    ASSERT_TRUE(worker.Layout(4, {0, 1, 2, 3}).ok());
+    ASSERT_TRUE(worker
+                    .Request(MsgType::kPeelInit, std::string(),
+                             MsgType::kPeelInitReply)
+                    .ok());
+    ASSERT_TRUE(worker.Peel().ok());
+    EXPECT_EQ(worker.Finish().code(), Status::Code::kIoError);  // EOF
+  }
+
+  // Layouts that would index past the remap table or the live bins.
+  struct BadLayout {
+    const char* what;
+    int live;
+    std::vector<uint8_t> remap;
+  };
+  const std::vector<BadLayout> layouts = {
+      {"remap shorter than the raw bins", 2, {0, 1}},
+      {"remap longer than the raw bins", 4, {0, 1, 2, 3, 3}},
+      {"remap value past the live bins", 3, {0, 1, 2, 5}},
+      {"remap value equal to live", 3, {0, 1, 3, 2}},
+      {"more live bins than raw bins", 6, {0, 1, 2, 3}},
+  };
+  for (const BadLayout& bad : layouts) {
+    SCOPED_TRACE(bad.what);
+    ScriptedWorker worker;
+    ASSERT_TRUE(worker.Sketch().ok());
+    ASSERT_TRUE(worker.Bins(kFourBounds).ok());
+    const Status reply = worker.Layout(bad.live, bad.remap);
+    EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
+        << reply.ToString();
+    const Status served = worker.Finish();
+    EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
+        << served.ToString();
+  }
+
+  // Requests that need state an earlier round has not built.
+  struct OutOfOrder {
+    const char* what;
+    std::function<Status(ScriptedWorker*)> run;
+  };
+  const std::vector<OutOfOrder> orders = {
+      {"kBins before kSketchRequest",
+       [](ScriptedWorker* w) { return w->Bins(kFourBounds); }},
+      {"kLayout before kBins",
+       [](ScriptedWorker* w) {
+         EXPECT_TRUE(w->Sketch().ok());
+         return w->Layout(4, {0, 1, 2, 3});
+       }},
+      {"kLayout twice",
+       [](ScriptedWorker* w) {
+         EXPECT_TRUE(w->Sketch().ok());
+         EXPECT_TRUE(w->Bins(kFourBounds).ok());
+         EXPECT_TRUE(w->Layout(4, {0, 1, 2, 3}).ok());
+         return w->Layout(4, {0, 1, 2, 3});
+       }},
+      {"kPeelInit before kLayout",
+       [](ScriptedWorker* w) {
+         EXPECT_TRUE(w->Sketch().ok());
+         EXPECT_TRUE(w->Bins(kFourBounds).ok());
+         return w->Request(MsgType::kPeelInit, std::string(),
+                           MsgType::kPeelInitReply);
+       }},
+      {"kPeel before kPeelInit",
+       [](ScriptedWorker* w) {
+         EXPECT_TRUE(w->Sketch().ok());
+         EXPECT_TRUE(w->Bins(kFourBounds).ok());
+         EXPECT_TRUE(w->Layout(4, {0, 1, 2, 3}).ok());
+         return w->Peel();
+       }},
+      {"kPeel after a new kBins",
+       [](ScriptedWorker* w) {
+         EXPECT_TRUE(w->Sketch().ok());
+         EXPECT_TRUE(w->Bins(kFourBounds).ok());
+         EXPECT_TRUE(w->Layout(4, {0, 1, 2, 3}).ok());
+         EXPECT_TRUE(w->Request(MsgType::kPeelInit, std::string(),
+                                MsgType::kPeelInitReply)
+                         .ok());
+         EXPECT_TRUE(w->Bins(kFourBounds).ok());
+         return w->Peel();
+       }},
+  };
+  for (const OutOfOrder& order : orders) {
+    SCOPED_TRACE(order.what);
+    ScriptedWorker worker;
+    const Status reply = order.run(&worker);
+    EXPECT_EQ(reply.code(), Status::Code::kFailedPrecondition)
+        << reply.ToString();
+    const Status served = worker.Finish();
+    EXPECT_EQ(served.code(), Status::Code::kFailedPrecondition)
+        << served.ToString();
+  }
+}
+
+TEST(ShardWireTest, WorkerRefusesRetiredMessageTypes) {
+  // Bytes 11-19 carried the retired tree-fit and tuning rounds; a worker
+  // fails on each with a typed status the coordinator end receives.
+  for (int type = 11; type <= 19; ++type) {
+    SCOPED_TRACE(type);
+    ScriptedWorker worker;
+    const std::string expected =
+        "shard worker: unexpected message type " + std::to_string(type);
+    const Status reply = worker.Request(static_cast<MsgType>(type),
+                                        std::string(), MsgType::kMetricsReply);
+    EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
+        << reply.ToString();
+    EXPECT_EQ(reply.message(), expected);
+    const Status served = worker.Finish();
+    EXPECT_EQ(served.code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(served.message(), expected);
+  }
+}
+
+TEST(ShardFleetTest, CoordinatorRejectsShortReplyVectors) {
+  // A scripted fake worker answers the rounds truthfully for four rows of
+  // one column, except for one per-bin vector one entry short: the coding
+  // stats' vmin (binning fails) or the peel-init aggregates' positive mass
+  // (PRIM fails). Either way the coordinator returns InvalidArgument
+  // instead of reading past the vector.
+  for (const bool short_vmin : {true, false}) {
+    SCOPED_TRACE(short_vmin ? "short vmin" : "short pos");
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const std::vector<double> values = {0.0, 1.0, 2.0, 3.0};
+    std::thread fake([&] {
+      for (;;) {
+        Result<Frame> frame = ReadFrame(sv[1]);
+        if (!frame.ok() || frame->type == MsgType::kShutdown) return;
+        util::ByteWriter out;
+        MsgType reply = MsgType::kLayoutAck;
+        if (frame->type == MsgType::kSketchRequest) {
+          ColumnSketch cs(1.0 / 2048.0);
+          for (double v : values) cs.AddValue(v, BinnedIndex::kMaxBins);
+          out.U64(values.size());
+          out.I32(1);
+          cs.SerializeTo(&out);
+          reply = MsgType::kSketchReply;
+        } else if (frame->type == MsgType::kBins) {
+          util::ByteReader in(frame->payload);
+          (void)in.I32();
+          const std::vector<double> upper = in.VecF64();
+          BinCodingStats stats;
+          stats.Reset(upper.size());
+          for (double v : values) stats.Observe(StreamedCodeOf(upper, v), v);
+          if (short_vmin) stats.vmin.pop_back();
+          out.U64(values.size());
+          out.VecI32(stats.count);
+          out.VecF64(stats.vmin);
+          out.VecF64(stats.vmax);
+          reply = MsgType::kCodingReply;
+        } else if (frame->type == MsgType::kPeelInit) {
+          out.U8(1);  // integral labels
+          out.U64(values.size());
+          out.VecI32(std::vector<int>(values.size(), 1));
+          out.VecF64(std::vector<double>(values.size() - 1, 0.0));
+          reply = MsgType::kPeelInitReply;
+        }
+        if (!WriteFrame(sv[1], reply, out).ok()) return;
+      }
+    });
+    ShardCoordinator coordinator({sv[0]});
+    const Status built = coordinator.BuildGlobalBins();
+    const Status prim =
+        built.ok() ? coordinator.RunPrim(PrimConfig{}).status() : built;
+    EXPECT_TRUE(coordinator.Shutdown().ok());
+    fake.join();
+    ::close(sv[0]);
+    ::close(sv[1]);
+    if (short_vmin) {
+      EXPECT_EQ(built.code(), Status::Code::kInvalidArgument)
+          << built.ToString();
+    } else {
+      ASSERT_TRUE(built.ok()) << built.ToString();
+      EXPECT_EQ(coordinator.bins().num_bins[0], 4);
+      EXPECT_EQ(prim.code(), Status::Code::kInvalidArgument)
+          << prim.ToString();
+    }
+  }
 }
 
 TEST(ShardFleetTest, NonFiniteCellFailsTheFleetWithItsStatus) {
@@ -202,124 +447,6 @@ TEST(ShardFleetTest, NonFiniteCellFailsTheFleetWithItsStatus) {
       << served.ToString();
   ::close(sv[0]);
   ::close(sv[1]);
-}
-
-// The fields of one kTuneCells request, serialized in wire order by
-// Payload(). Defaults form a valid request: a 40 x 2 design, GBT, 3 folds.
-struct TuneCellsFields {
-  uint8_t kind = static_cast<uint8_t>(ml::MetamodelKind::kGbt);
-  uint64_t seed = 3;
-  uint8_t budget = static_cast<uint8_t>(ml::TuningBudget::kQuick);
-  int32_t folds = 3;
-  uint8_t backend = static_cast<uint8_t>(ml::SplitBackend::kPresorted);
-  int32_t num_cols = 2;
-  std::vector<double> x;
-  std::vector<double> y;
-  std::vector<int> cells = {0};
-
-  TuneCellsFields() {
-    Rng rng(13);
-    for (int r = 0; r < 40; ++r) {
-      x.push_back(rng.Uniform());
-      x.push_back(rng.Uniform());
-      y.push_back(r % 2 == 0 ? 1.0 : 0.0);
-    }
-  }
-
-  std::string Payload() const {
-    util::ByteWriter msg;
-    msg.U8(kind);
-    msg.U64(seed);
-    msg.U8(budget);
-    msg.I32(folds);
-    msg.U8(backend);
-    msg.I32(num_cols);
-    msg.VecF64(x);
-    msg.VecF64(y);
-    msg.VecI32(cells);
-    return msg.data();
-  }
-};
-
-// Sends one kTuneCells frame to a fresh worker and returns the status of
-// the awaited kTuneReply; `served` receives the worker's exit status.
-Status SendTuneCells(const std::string& payload, Status* served) {
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    return Status::IoError("socketpair");
-  }
-  std::thread worker([&] {
-    SyntheticBlockSource source(TestSpec(), 1, 0);
-    *served = RunShardWorker(sv[1], &source);
-  });
-  Status reply = WriteFrame(sv[0], MsgType::kTuneCells, payload);
-  if (reply.ok()) reply = ExpectFrame(sv[0], MsgType::kTuneReply).status();
-  // A worker that answered waits for the next frame; EOF releases it.
-  ::shutdown(sv[0], SHUT_WR);
-  worker.join();
-  ::close(sv[0]);
-  ::close(sv[1]);
-  return reply;
-}
-
-TEST(ShardWireTest, WorkerValidatesEveryTuneCellsField) {
-  {
-    // The unmodified request is served.
-    Status served = Status::OK();
-    const Status reply = SendTuneCells(TuneCellsFields().Payload(), &served);
-    ASSERT_TRUE(reply.ok()) << reply.ToString();
-  }
-  const int grid = ml::TuningGridSize(ml::MetamodelKind::kGbt, 2, {});
-  struct BadCase {
-    const char* what;
-    std::function<void(TuneCellsFields*)> mutate;
-  };
-  const std::vector<BadCase> cases = {
-      {"unknown kind", [](TuneCellsFields* f) { f->kind = 3; }},
-      {"unknown budget", [](TuneCellsFields* f) { f->budget = 2; }},
-      {"unknown backend", [](TuneCellsFields* f) { f->backend = 3; }},
-      {"one fold", [](TuneCellsFields* f) { f->folds = 1; }},
-      {"negative folds", [](TuneCellsFields* f) { f->folds = -4; }},
-      {"zero columns", [](TuneCellsFields* f) { f->num_cols = 0; }},
-      {"negative columns", [](TuneCellsFields* f) { f->num_cols = -2; }},
-      {"ragged x", [](TuneCellsFields* f) { f->x.pop_back(); }},
-      {"x and y rows differ", [](TuneCellsFields* f) { f->y.pop_back(); }},
-      {"fewer rows than folds",
-       [](TuneCellsFields* f) {
-         f->x.resize(4);
-         f->y.resize(2);
-       }},
-      {"cell past the grid", [grid](TuneCellsFields* f) { f->cells = {grid}; }},
-      {"negative cell", [](TuneCellsFields* f) { f->cells = {0, -1}; }},
-      {"huge cell", [](TuneCellsFields* f) { f->cells = {1 << 30}; }},
-      {"nan in x", [](TuneCellsFields* f) { f->x[5] = std::nan(""); }},
-      {"inf in y",
-       [](TuneCellsFields* f) {
-         f->y[3] = std::numeric_limits<double>::infinity();
-       }},
-  };
-  for (const BadCase& c : cases) {
-    SCOPED_TRACE(c.what);
-    TuneCellsFields fields;
-    c.mutate(&fields);
-    Status served = Status::OK();
-    const Status reply = SendTuneCells(fields.Payload(), &served);
-    EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
-        << reply.ToString();
-    EXPECT_EQ(served.code(), Status::Code::kInvalidArgument)
-        << served.ToString();
-  }
-  // Truncated and over-long payloads.
-  const std::string valid = TuneCellsFields().Payload();
-  for (const std::string& payload :
-       {valid.substr(0, valid.size() - 1), valid.substr(0, 9), valid + "x",
-        std::string()}) {
-    Status served = Status::OK();
-    const Status reply = SendTuneCells(payload, &served);
-    EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
-        << payload.size() << " bytes: " << reply.ToString();
-    EXPECT_EQ(served.code(), Status::Code::kInvalidArgument);
-  }
 }
 
 TEST(ShardSourceTest, SpecSerializationRoundTrips) {
@@ -590,70 +717,6 @@ TEST(ShardFleetTest, PrimBitIdenticalToSingleProcess) {
     EXPECT_EQ(got->best_val_index, expected.best_val_index);
     EXPECT_TRUE(coordinator.Shutdown().ok());
   }
-}
-
-TEST(ShardFleetTest, DistributedTreeFitIsByteIdentical) {
-  const SourceSpec spec = TestSpec();
-  const StreamedDataset reference = SingleProcessBuild(spec);
-
-  // Materialize the stream for the serial fit.
-  SyntheticBlockSource source(spec, 1, 0);
-  Result<Dataset> d = ReadAll(&source, spec.block_rows);
-  ASSERT_TRUE(d.ok());
-
-  ml::TreeConfig config;
-  config.backend = ml::SplitBackend::kHistogram;
-  config.max_depth = 6;
-  config.min_samples_leaf = 5;
-
-  ml::RegressionTree serial;
-  Rng rng(1);
-  serial.Fit(*d, config, &rng, nullptr, reference.index.get());
-  util::ByteWriter serial_bytes;
-  serial.SerializeTo(&serial_bytes);
-
-  Fleet fleet(spec, 2);
-  ShardCoordinator coordinator(fleet.coordinator_fds(), BuildOptions(spec));
-  ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
-  Result<ml::RegressionTree> fleet_tree = coordinator.FitTree(config);
-  ASSERT_TRUE(fleet_tree.ok()) << fleet_tree.status().ToString();
-  util::ByteWriter fleet_bytes;
-  fleet_tree->SerializeTo(&fleet_bytes);
-  EXPECT_EQ(fleet_bytes.data(), serial_bytes.data());
-
-  // Unsupported configurations are refused, not silently approximated.
-  ml::TreeConfig mtry_config = config;
-  mtry_config.mtry = 1;
-  EXPECT_FALSE(coordinator.FitTree(mtry_config).ok());
-  EXPECT_TRUE(coordinator.Shutdown().ok());
-}
-
-TEST(ShardFleetTest, ShardedTuningPicksTuneAndFitsModel) {
-  // Small design sample, GBT family (deterministic fits).
-  SourceSpec spec = TestSpec();
-  spec.rows = 600;
-  SyntheticBlockSource source(spec, 1, 0);
-  Result<Dataset> d = ReadAll(&source, spec.block_rows);
-  ASSERT_TRUE(d.ok());
-
-  ml::TuningConfig config;
-  config.budget = ml::TuningBudget::kQuick;
-  config.folds = 3;
-  const uint64_t seed = 77;
-  std::unique_ptr<ml::Metamodel> expected =
-      ml::TuneAndFit(ml::MetamodelKind::kGbt, *d, seed, config);
-  util::ByteWriter expected_bytes;
-  ml::SerializeMetamodel(*expected, ml::MetamodelKind::kGbt, &expected_bytes);
-
-  Fleet fleet(spec, 2);
-  ShardCoordinator coordinator(fleet.coordinator_fds(), BuildOptions(spec));
-  Result<std::unique_ptr<ml::Metamodel>> got = coordinator.TuneAndFitSharded(
-      ml::MetamodelKind::kGbt, *d, seed, config);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  util::ByteWriter got_bytes;
-  ml::SerializeMetamodel(**got, ml::MetamodelKind::kGbt, &got_bytes);
-  EXPECT_EQ(got_bytes.data(), expected_bytes.data());
-  EXPECT_TRUE(coordinator.Shutdown().ok());
 }
 
 TEST(ShardFleetTest, FleetMetricsFoldIntoOneRegistry) {

@@ -48,17 +48,17 @@ void ExpectSamePredictions(const ml::Metamodel& a, const ml::Metamodel& b,
 }
 
 // The reference tuning plan: every fold's training rows are copied with
-// SubsetRows and each grid cell is fit on the copy, with TuneAndFit's fold
-// assignment, seed streams and held-out log-loss. Returns the per-cell CV
-// losses and the refit winner (first minimum wins).
+// SubsetRows and each of the first `cells` grid cells is fit on the copy,
+// with TuneAndFit's fold assignment, seed streams and held-out log-loss.
+// Returns the per-cell CV losses and the refit winner (first minimum wins).
 std::unique_ptr<ml::Metamodel> TuneOnFoldCopies(ml::MetamodelKind kind,
                                                 const Dataset& d,
                                                 uint64_t seed,
                                                 const ml::TuningConfig& config,
+                                                int cells,
                                                 std::vector<double>* losses) {
   const std::vector<int> fold =
       ml::FoldAssignment(d.num_rows(), config.folds, seed);
-  const int cells = ml::TuningGridSize(kind, d.num_cols(), config);
   losses->assign(static_cast<size_t>(cells), 0.0);
   for (int g = 0; g < cells; ++g) {
     const uint64_t g_seed = DeriveSeed(seed, static_cast<uint64_t>(g));
@@ -83,23 +83,28 @@ std::unique_ptr<ml::Metamodel> TuneOnFoldCopies(ml::MetamodelKind kind,
     (*losses)[static_cast<size_t>(g)] /= config.folds;
   }
   const auto best = std::min_element(losses->begin(), losses->end());
-  return ml::TuningCellFit(kind, static_cast<int>(best - losses->begin()), d,
-                           seed, config);
+  auto winner = ml::TuningCellModel(
+      kind, static_cast<int>(best - losses->begin()), d.num_cols(), config);
+  winner->Fit(d, DeriveSeed(seed, 0xf17ULL));
+  return winner;
 }
 
 // Per-cell losses, winner and refit of TuneAndFit against TuneOnFoldCopies.
 void ExpectSameTuning(ml::MetamodelKind kind, const Dataset& d, uint64_t seed,
                       const ml::TuningConfig& config, const Dataset& probe,
                       const char* what) {
-  std::vector<double> losses;
-  const auto reference = TuneOnFoldCopies(kind, d, seed, config, &losses);
-  for (size_t g = 0; g < losses.size(); ++g) {
-    EXPECT_EQ(ml::TuningCellLoss(kind, static_cast<int>(g), d, seed, config),
-              losses[g])
-        << what << " cell " << g;
-  }
-  const auto tuned = ml::TuneAndFit(kind, d, seed, config);
+  std::vector<double> tuned_losses;
+  const auto tuned =
+      ml::TuneAndFit(kind, d, seed, config, nullptr, nullptr, &tuned_losses);
   ASSERT_NE(tuned, nullptr);
+  ASSERT_GE(tuned_losses.size(), 2u) << what;
+  std::vector<double> losses;
+  const auto reference =
+      TuneOnFoldCopies(kind, d, seed, config,
+                       static_cast<int>(tuned_losses.size()), &losses);
+  for (size_t g = 0; g < losses.size(); ++g) {
+    EXPECT_EQ(tuned_losses[g], losses[g]) << what << " cell " << g;
+  }
   ExpectSamePredictions(*tuned, *reference, probe, what);
 }
 
