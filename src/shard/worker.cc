@@ -209,19 +209,23 @@ Status ShardWorker::HandleLayout(const std::string& payload) {
     const int live = in.I32();
     const std::vector<uint8_t> remap = in.VecU8();
     const size_t raw = static_cast<size_t>(raw_bins_[static_cast<size_t>(j)]);
-    // Every local code indexes remap, and every remapped code indexes the
-    // live bins.
+    // Every local code indexes remap. A globally empty raw bin after the
+    // last live one maps to `live` itself, so only the entries of bins
+    // this shard coded rows into must land below it.
     if (!in.ok() || live < 1 || remap.size() != raw ||
         static_cast<size_t>(live) > raw ||
         std::any_of(remap.begin(), remap.end(),
-                    [live](uint8_t b) { return b >= live; })) {
+                    [live](uint8_t b) { return b > live; })) {
       return Status::InvalidArgument("shard worker: bad kLayout payload");
     }
     num_bins_[static_cast<size_t>(j)] = live;
     std::vector<uint8_t>& codes = codes_[static_cast<size_t>(j)];
     if (live != static_cast<int>(remap.size())) {
-      // A raw bin that is empty globally is empty locally too, so every
-      // local code has a valid remap slot.
+      if (std::any_of(codes.begin(), codes.end(),
+                      [&](uint8_t c) { return remap[c] >= live; })) {
+        return Status::InvalidArgument(
+            "shard worker: kLayout maps a coded row past the live bins");
+      }
       for (uint8_t& c : codes) c = remap[c];
     }
     // Local permutation over the GLOBAL bin space: stable counting sort by

@@ -45,7 +45,7 @@ SourceSpec TestSpec() {
 }
 
 // An in-process worker fleet over socketpairs: one thread per worker, each
-// serving its stride of the synthetic stream. The coordinator side runs in
+// serving its stride of the spec's stream. The coordinator side runs in
 // the test body against coordinator_fds().
 class Fleet {
  public:
@@ -58,9 +58,13 @@ class Fleet {
     }
     for (int w = 0; w < workers; ++w) {
       threads_.emplace_back([this, spec, workers, w] {
-        SyntheticBlockSource source(spec, workers, w);
+        Result<std::unique_ptr<DatasetSource>> source =
+            MakeSource(spec, workers, w);
         statuses_[static_cast<size_t>(w)] =
-            RunShardWorker(worker_fds_[static_cast<size_t>(w)], &source);
+            source.ok()
+                ? RunShardWorker(worker_fds_[static_cast<size_t>(w)],
+                                 source->get())
+                : source.status();
       });
     }
   }
@@ -88,12 +92,51 @@ StreamedBuildOptions BuildOptions(const SourceSpec& spec) {
 }
 
 // The single-process reference: BuildStreamed over the whole stream.
-StreamedDataset SingleProcessBuild(const SourceSpec& spec) {
-  SyntheticBlockSource source(spec, 1, 0);
+StreamedDataset SingleProcessBuild(const SourceSpec& spec,
+                                   const StreamedBuildOptions& options) {
+  Result<std::unique_ptr<DatasetSource>> source = MakeSource(spec, 1, 0);
+  EXPECT_TRUE(source.ok()) << source.status().ToString();
   Result<StreamedDataset> data =
-      BinnedIndex::BuildStreamed(&source, BuildOptions(spec));
+      BinnedIndex::BuildStreamed(source->get(), options);
   EXPECT_TRUE(data.ok()) << data.status().ToString();
   return *std::move(data);
+}
+
+// The fleet's global bins equal the single-process index's, bin by bin.
+void ExpectBinsMatch(const GlobalBins& bins, const BinnedIndex& reference) {
+  EXPECT_EQ(bins.num_rows, reference.num_rows());
+  EXPECT_EQ(bins.num_cols, reference.num_cols());
+  EXPECT_EQ(bins.kind, reference.kind());
+  for (int j = 0; j < bins.num_cols; ++j) {
+    ASSERT_EQ(bins.num_bins[static_cast<size_t>(j)], reference.num_bins(j))
+        << "col " << j;
+    for (int b = 0; b < bins.num_bins[static_cast<size_t>(j)]; ++b) {
+      EXPECT_EQ(bins.bin_first[static_cast<size_t>(j)][static_cast<size_t>(b)],
+                reference.bin_first(j, b));
+      EXPECT_EQ(bins.bin_last[static_cast<size_t>(j)][static_cast<size_t>(b)],
+                reference.bin_last(j, b));
+    }
+  }
+}
+
+// Box sequences and both curves agree exactly.
+void ExpectPrimMatch(const PrimResult& got, const PrimResult& expected) {
+  ASSERT_EQ(got.boxes.size(), expected.boxes.size());
+  for (size_t i = 0; i < expected.boxes.size(); ++i) {
+    for (int j = 0; j < expected.boxes[i].dim(); ++j) {
+      EXPECT_EQ(got.boxes[i].lo(j), expected.boxes[i].lo(j));
+      EXPECT_EQ(got.boxes[i].hi(j), expected.boxes[i].hi(j));
+    }
+  }
+  ASSERT_EQ(got.train_curve.size(), expected.train_curve.size());
+  for (size_t i = 0; i < expected.train_curve.size(); ++i) {
+    EXPECT_EQ(got.train_curve[i].recall, expected.train_curve[i].recall);
+    EXPECT_EQ(got.train_curve[i].precision,
+              expected.train_curve[i].precision);
+    EXPECT_EQ(got.val_curve[i].recall, expected.val_curve[i].recall);
+    EXPECT_EQ(got.val_curve[i].precision, expected.val_curve[i].precision);
+  }
+  EXPECT_EQ(got.best_val_index, expected.best_val_index);
 }
 
 TEST(ShardWireTest, FrameRoundTrip) {
@@ -212,8 +255,11 @@ class ScriptedWorker {
   std::thread thread_;
 };
 
-// Four raw bins per column (codes 0..3) for the scripted worker's rows.
+// Four raw bins per column (codes 0..3), each holding some of the scripted
+// worker's rows (grid values in [0, 1]); kFiveBounds adds a fifth raw bin
+// that no row codes into.
 const std::vector<double> kFourBounds = {0.25, 0.5, 0.75, 1.0};
+const std::vector<double> kFiveBounds = {0.25, 0.5, 0.75, 1.0, 2.0};
 
 TEST(ShardWireTest, WorkerRejectsMoreBinBoundsThanCodesHold) {
   // Codes are uint8: a kBins payload with more than 256 bounds per column
@@ -229,12 +275,25 @@ TEST(ShardWireTest, WorkerRejectsMoreBinBoundsThanCodesHold) {
 }
 
 TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
-  {
-    // The well-formed sequence is served, and peels run after init.
+  struct LayoutCase {
+    const char* what;
+    std::vector<double> bounds;
+    int live;
+    std::vector<uint8_t> remap;
+  };
+  // Well-formed sequences are served, and peels run after init. A globally
+  // empty raw bin after the last live one maps to `live` itself, as
+  // AssembleColumnBins lays it out.
+  const std::vector<LayoutCase> good = {
+      {"every raw bin live", kFourBounds, 4, {0, 1, 2, 3}},
+      {"empty trailing raw bin", kFiveBounds, 4, {0, 1, 2, 3, 4}},
+  };
+  for (const LayoutCase& ok : good) {
+    SCOPED_TRACE(ok.what);
     ScriptedWorker worker;
     ASSERT_TRUE(worker.Sketch().ok());
-    ASSERT_TRUE(worker.Bins(kFourBounds).ok());
-    ASSERT_TRUE(worker.Layout(4, {0, 1, 2, 3}).ok());
+    ASSERT_TRUE(worker.Bins(ok.bounds).ok());
+    ASSERT_TRUE(worker.Layout(ok.live, ok.remap).ok());
     ASSERT_TRUE(worker
                     .Request(MsgType::kPeelInit, std::string(),
                              MsgType::kPeelInitReply)
@@ -244,23 +303,19 @@ TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
   }
 
   // Layouts that would index past the remap table or the live bins.
-  struct BadLayout {
-    const char* what;
-    int live;
-    std::vector<uint8_t> remap;
+  const std::vector<LayoutCase> bad_layouts = {
+      {"remap shorter than the raw bins", kFourBounds, 2, {0, 1}},
+      {"remap longer than the raw bins", kFourBounds, 4, {0, 1, 2, 3, 3}},
+      {"remap value past the live bins", kFourBounds, 3, {0, 1, 2, 5}},
+      {"empty raw bin remapped past live", kFiveBounds, 4, {0, 1, 2, 3, 5}},
+      {"coded raw bin remapped to live", kFourBounds, 3, {0, 1, 3, 2}},
+      {"more live bins than raw bins", kFourBounds, 6, {0, 1, 2, 3}},
   };
-  const std::vector<BadLayout> layouts = {
-      {"remap shorter than the raw bins", 2, {0, 1}},
-      {"remap longer than the raw bins", 4, {0, 1, 2, 3, 3}},
-      {"remap value past the live bins", 3, {0, 1, 2, 5}},
-      {"remap value equal to live", 3, {0, 1, 3, 2}},
-      {"more live bins than raw bins", 6, {0, 1, 2, 3}},
-  };
-  for (const BadLayout& bad : layouts) {
+  for (const LayoutCase& bad : bad_layouts) {
     SCOPED_TRACE(bad.what);
     ScriptedWorker worker;
     ASSERT_TRUE(worker.Sketch().ok());
-    ASSERT_TRUE(worker.Bins(kFourBounds).ok());
+    ASSERT_TRUE(worker.Bins(bad.bounds).ok());
     const Status reply = worker.Layout(bad.live, bad.remap);
     EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
         << reply.ToString();
@@ -349,11 +404,14 @@ TEST(ShardWireTest, WorkerRefusesRetiredMessageTypes) {
 TEST(ShardFleetTest, CoordinatorRejectsShortReplyVectors) {
   // A scripted fake worker answers the rounds truthfully for four rows of
   // one column, except for one per-bin vector one entry short: the coding
-  // stats' vmin (binning fails) or the peel-init aggregates' positive mass
-  // (PRIM fails). Either way the coordinator returns InvalidArgument
-  // instead of reading past the vector.
-  for (const bool short_vmin : {true, false}) {
-    SCOPED_TRACE(short_vmin ? "short vmin" : "short pos");
+  // stats' vmin or vmax (binning fails) or the peel-init aggregates'
+  // positive mass (PRIM fails). Either way the coordinator returns
+  // InvalidArgument instead of reading past the vector.
+  enum class Short { kVmin, kVmax, kPos };
+  for (const Short which : {Short::kVmin, Short::kVmax, Short::kPos}) {
+    SCOPED_TRACE(which == Short::kVmin   ? "short vmin"
+                 : which == Short::kVmax ? "short vmax"
+                                         : "short pos");
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     const std::vector<double> values = {0.0, 1.0, 2.0, 3.0};
@@ -377,7 +435,8 @@ TEST(ShardFleetTest, CoordinatorRejectsShortReplyVectors) {
           BinCodingStats stats;
           stats.Reset(upper.size());
           for (double v : values) stats.Observe(StreamedCodeOf(upper, v), v);
-          if (short_vmin) stats.vmin.pop_back();
+          if (which == Short::kVmin) stats.vmin.pop_back();
+          if (which == Short::kVmax) stats.vmax.pop_back();
           out.U64(values.size());
           out.VecI32(stats.count);
           out.VecF64(stats.vmin);
@@ -401,7 +460,7 @@ TEST(ShardFleetTest, CoordinatorRejectsShortReplyVectors) {
     fake.join();
     ::close(sv[0]);
     ::close(sv[1]);
-    if (short_vmin) {
+    if (which != Short::kPos) {
       EXPECT_EQ(built.code(), Status::Code::kInvalidArgument)
           << built.ToString();
     } else {
@@ -605,28 +664,16 @@ TEST(ShardSourceTest, DataBackedSourcesClaimNoIdentity) {
 // exact (value, count) summary merges are sorted multiset unions.
 TEST(ShardFleetTest, GlobalBinsMatchSingleProcessForAnyWorkerCount) {
   const SourceSpec spec = TestSpec();
-  const StreamedDataset reference = SingleProcessBuild(spec);
+  const StreamedDataset reference =
+      SingleProcessBuild(spec, BuildOptions(spec));
   ASSERT_EQ(reference.index->kind(), BinnedIndex::BuildKind::kExactPack);
 
   for (int workers : {1, 2, 3}) {
     Fleet fleet(spec, workers);
     ShardCoordinator coordinator(fleet.coordinator_fds(), BuildOptions(spec));
     ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
-    const GlobalBins& bins = coordinator.bins();
-    EXPECT_EQ(bins.num_rows, reference.index->num_rows());
-    EXPECT_EQ(bins.num_cols, reference.index->num_cols());
-    EXPECT_EQ(bins.kind, reference.index->kind());
-    for (int j = 0; j < bins.num_cols; ++j) {
-      ASSERT_EQ(bins.num_bins[static_cast<size_t>(j)],
-                reference.index->num_bins(j))
-          << "col " << j << " workers " << workers;
-      for (int b = 0; b < bins.num_bins[static_cast<size_t>(j)]; ++b) {
-        EXPECT_EQ(bins.bin_first[static_cast<size_t>(j)][static_cast<size_t>(b)],
-                  reference.index->bin_first(j, b));
-        EXPECT_EQ(bins.bin_last[static_cast<size_t>(j)][static_cast<size_t>(b)],
-                  reference.index->bin_last(j, b));
-      }
-    }
+    SCOPED_TRACE(workers);
+    ExpectBinsMatch(coordinator.bins(), *reference.index);
     EXPECT_TRUE(coordinator.Shutdown().ok());
   }
 }
@@ -684,7 +731,8 @@ TEST(ShardFleetTest, ColumnSketchSerializationRoundTrips) {
 
 TEST(ShardFleetTest, PrimBitIdenticalToSingleProcess) {
   const SourceSpec spec = TestSpec();
-  const StreamedDataset reference = SingleProcessBuild(spec);
+  const StreamedDataset reference =
+      SingleProcessBuild(spec, BuildOptions(spec));
   PrimConfig config;
   config.alpha = 0.05;
   config.min_points = 20;
@@ -697,26 +745,61 @@ TEST(ShardFleetTest, PrimBitIdenticalToSingleProcess) {
     ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
     Result<PrimResult> got = coordinator.RunPrim(config);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-
-    ASSERT_EQ(got->boxes.size(), expected.boxes.size())
-        << "workers " << workers;
-    for (size_t i = 0; i < expected.boxes.size(); ++i) {
-      for (int j = 0; j < spec.dims; ++j) {
-        EXPECT_EQ(got->boxes[i].lo(j), expected.boxes[i].lo(j));
-        EXPECT_EQ(got->boxes[i].hi(j), expected.boxes[i].hi(j));
-      }
-    }
-    ASSERT_EQ(got->train_curve.size(), expected.train_curve.size());
-    for (size_t i = 0; i < expected.train_curve.size(); ++i) {
-      EXPECT_EQ(got->train_curve[i].recall, expected.train_curve[i].recall);
-      EXPECT_EQ(got->train_curve[i].precision,
-                expected.train_curve[i].precision);
-      EXPECT_EQ(got->val_curve[i].recall, expected.val_curve[i].recall);
-      EXPECT_EQ(got->val_curve[i].precision, expected.val_curve[i].precision);
-    }
-    EXPECT_EQ(got->best_val_index, expected.best_val_index);
+    SCOPED_TRACE(workers);
+    ExpectPrimMatch(*got, expected);
     EXPECT_TRUE(coordinator.Shutdown().ok());
   }
+}
+
+// Sketch regime: more distinct values than max_bins, and column a has a
+// run of ties at its maximum longer than one bin's share of rows. The last
+// sketch quantile then equals that maximum, the +inf catch-all raw bin
+// stays empty, and the layout maps it to the live-bin count. The fleet
+// must still reproduce the single-process streamed build. The sketch eps
+// is fine enough that no summary compresses, so how the rows are
+// partitioned cannot move a quantile bound.
+TEST(ShardFleetTest, SketchRegimeWithEmptyCatchAllMatchesSingleProcess) {
+  const std::string path = ::testing::TempDir() + "reds_shard_sketch_test.csv";
+  {
+    std::ofstream out(path);
+    out.precision(17);
+    out << "a,b,y\n";
+    Rng rng(23);
+    for (int r = 0; r < 4000; ++r) {
+      const double a = rng.Bernoulli(0.02) ? 1.0 : rng.Uniform();
+      const double b = rng.Uniform();
+      const bool planted = a > 0.4 && b < 0.6;
+      out << a << ',' << b << ','
+          << (rng.Bernoulli(planted ? 0.8 : 0.1) ? 1 : 0) << '\n';
+    }
+  }
+  SourceSpec spec;
+  spec.kind = SourceSpec::Kind::kCsv;
+  spec.block_rows = 256;
+  spec.path = path;
+  StreamedBuildOptions options = BuildOptions(spec);
+  options.sketch_eps = 1.0 / 65536.0;
+  const StreamedDataset reference = SingleProcessBuild(spec, options);
+  ASSERT_EQ(reference.index->kind(), BinnedIndex::BuildKind::kSketch);
+  PrimConfig config;
+  config.alpha = 0.05;
+  config.min_points = 20;
+  const PrimResult expected =
+      RunPrimStreamed(*reference.index, reference.y, config);
+
+  for (int workers : {1, 2}) {
+    SCOPED_TRACE(workers);
+    Fleet fleet(spec, workers);
+    ShardCoordinator coordinator(fleet.coordinator_fds(), options);
+    const Status built = coordinator.BuildGlobalBins();
+    ASSERT_TRUE(built.ok()) << built.ToString();
+    ExpectBinsMatch(coordinator.bins(), *reference.index);
+    Result<PrimResult> got = coordinator.RunPrim(config);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectPrimMatch(*got, expected);
+    EXPECT_TRUE(coordinator.Shutdown().ok());
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(ShardFleetTest, FleetMetricsFoldIntoOneRegistry) {
