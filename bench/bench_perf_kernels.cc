@@ -589,7 +589,9 @@ KernelResult BenchStreamedBuild(const PerfFlags& flags, int threads) {
         index.sorted_rows(j) == reference->sorted[static_cast<size_t>(j)];
     for (int b = 0; b <= layout.live && result.identical; ++b) {
       result.identical =
-          index.bin_begin_rank(j, b) == layout.begins[static_cast<size_t>(b)] &&
+          index.bin_begin_rank(j, b) ==
+              reference->begins[static_cast<size_t>(j)]
+                               [static_cast<size_t>(b)] &&
           (b == layout.live ||
            (index.bin_first(j, b) == layout.first[static_cast<size_t>(b)] &&
             index.bin_last(j, b) == layout.last[static_cast<size_t>(b)]));

@@ -271,28 +271,71 @@ void BinCodingStats::MergeFrom(const BinCodingStats& other) {
   }
 }
 
-ColumnBinLayout AssembleColumnBins(const BinCodingStats& stats, int n) {
+Result<StreamedCoding> CodeStream(DatasetSource* source, int block_rows,
+                                  std::vector<std::vector<double>> upper,
+                                  int64_t n, ThreadPool* pool) {
+  Status reset = source->Reset();
+  if (!reset.ok()) return reset;
+  const int m = static_cast<int>(upper.size());
+  StreamedCoding out;
+  out.codes.resize(upper.size());
+  out.stats.resize(upper.size());
+  std::vector<StreamedCoder> coders;
+  coders.reserve(upper.size());
+  for (size_t j = 0; j < upper.size(); ++j) {
+    out.codes[j].reserve(static_cast<size_t>(n));
+    out.stats[j].Reset(upper[j].size());
+    coders.emplace_back(std::move(upper[j]));
+  }
+  int64_t seen = 0;
+  for (;;) {
+    Result<RowBlock> block = source->NextBlock(block_rows);
+    if (!block.ok()) return block.status();
+    if (block->empty()) break;
+    const int rows = block->num_rows();
+    seen += rows;
+    if (seen > n) {
+      return Status::FailedPrecondition(
+          "dataset source yielded extra rows on the second pass");
+    }
+    const double* x = block->x.data();
+    auto code_column = [&, x, rows](int j) {
+      const StreamedCoder& coder = coders[static_cast<size_t>(j)];
+      std::vector<uint8_t>& col = out.codes[static_cast<size_t>(j)];
+      BinCodingStats& cs = out.stats[static_cast<size_t>(j)];
+      for (int r = 0; r < rows; ++r) {
+        const double v = x[static_cast<size_t>(r) * m + j];
+        const uint8_t b = coder.Code(v);
+        col.push_back(b);
+        cs.Observe(b, v);
+      }
+    };
+    if (pool != nullptr) {
+      for (int j = 0; j < m; ++j) {
+        pool->Submit([&code_column, j] { code_column(j); });
+      }
+      pool->Wait();
+    } else {
+      for (int j = 0; j < m; ++j) code_column(j);
+    }
+  }
+  if (seen != n) {
+    return Status::FailedPrecondition(
+        "dataset source yielded fewer rows on the second pass");
+  }
+  return out;
+}
+
+ColumnBinLayout AssembleColumnBins(const BinCodingStats& stats) {
   ColumnBinLayout out;
   out.remap.assign(stats.count.size(), 0);
-  int live = 0;
   for (size_t b = 0; b < stats.count.size(); ++b) {
-    out.remap[b] = static_cast<uint8_t>(live);
-    if (stats.count[b] > 0) ++live;
-  }
-  out.live = live;
-  out.first.reserve(static_cast<size_t>(live));
-  out.last.reserve(static_cast<size_t>(live));
-  out.begins.assign(static_cast<size_t>(live) + 1, 0);
-  int rank = 0, slot = 0;
-  for (size_t b = 0; b < stats.count.size(); ++b) {
+    out.remap[b] = static_cast<uint8_t>(out.live);
     if (stats.count[b] == 0) continue;
+    ++out.live;
     out.first.push_back(stats.vmin[b]);
     out.last.push_back(stats.vmax[b]);
-    out.begins[static_cast<size_t>(slot)] = rank;
-    rank += stats.count[b];
-    ++slot;
   }
-  out.begins[static_cast<size_t>(live)] = n;
   return out;
 }
 
@@ -497,92 +540,73 @@ Result<StreamedDataset> BinnedIndex::BuildStreamed(
 
   // --- Pass 2: code every row chunk by chunk, tracking per-bin counts ----
   // and exact min/max values.
-  reset = source->Reset();
-  if (!reset.ok()) return reset;
-
-  auto binned = std::shared_ptr<BinnedIndex>(new BinnedIndex());
-  binned->num_rows_ = n;
-  binned->num_cols_ = m;
-  binned->max_bins_ = cap;
-  binned->kind_ = any_sketch ? BuildKind::kSketch : BuildKind::kExactPack;
-  binned->codes_.resize(static_cast<size_t>(m));
-  std::vector<BinCodingStats> stats(static_cast<size_t>(m));
-  for (int j = 0; j < m; ++j) {
-    binned->codes_[static_cast<size_t>(j)].reserve(static_cast<size_t>(n));
-    stats[static_cast<size_t>(j)].Reset(upper[static_cast<size_t>(j)].size());
-  }
-
-  std::vector<StreamedCoder> coders;
-  coders.reserve(static_cast<size_t>(m));
-  for (std::vector<double>& ub : upper) coders.emplace_back(std::move(ub));
-
   auto code_span = std::make_unique<obs::Span>("index.code_pass");
-  ThreadPool* code_pool = (pool != nullptr && m > 1) ? pool.get() : nullptr;
-  int64_t seen = 0;
-  for (;;) {
-    Result<RowBlock> block = source->NextBlock(options.block_rows);
-    if (!block.ok()) return block.status();
-    if (block->empty()) break;
-    const int rows = block->num_rows();
-    seen += rows;
-    if (seen > n64) {
-      return Status::FailedPrecondition(
-          "dataset source yielded extra rows on the second pass");
-    }
-    const double* x = block->x.data();
-    auto code_column = [&, x, rows](int j) {
-      const StreamedCoder& coder = coders[static_cast<size_t>(j)];
-      std::vector<uint8_t>& codes = binned->codes_[static_cast<size_t>(j)];
-      BinCodingStats& cs = stats[static_cast<size_t>(j)];
-      for (int r = 0; r < rows; ++r) {
-        const double v = x[static_cast<size_t>(r) * m + j];
-        const uint8_t b = coder.Code(v);
-        codes.push_back(b);
-        cs.Observe(b, v);
-      }
-    };
-    if (code_pool != nullptr) {
-      for (int j = 0; j < m; ++j) {
-        code_pool->Submit([&code_column, j] { code_column(j); });
-      }
-      code_pool->Wait();
-    } else {
-      for (int j = 0; j < m; ++j) code_column(j);
-    }
-  }
-  if (seen != n64) {
-    return Status::FailedPrecondition(
-        "dataset source yielded fewer rows on the second pass");
-  }
+  Result<StreamedCoding> coding =
+      CodeStream(source, options.block_rows, std::move(upper), n64,
+                 m > 1 ? pool.get() : nullptr);
+  if (!coding.ok()) return coding.status();
   code_span.reset();  // the assemble below is not part of the coding pass
 
   // --- Assemble: drop empty bins, exact bounds, rank offsets, own perm. --
-  binned->num_bins_.resize(static_cast<size_t>(m));
-  binned->bin_first_.resize(static_cast<size_t>(m));
-  binned->bin_last_.resize(static_cast<size_t>(m));
-  binned->bin_begin_rank_.resize(static_cast<size_t>(m));
+  std::vector<ColumnBinLayout> layouts;
+  layouts.reserve(static_cast<size_t>(m));
   for (int j = 0; j < m; ++j) {
-    ColumnBinLayout layout =
-        AssembleColumnBins(stats[static_cast<size_t>(j)], n);
-    binned->num_bins_[static_cast<size_t>(j)] = layout.live;
-    if (layout.live != static_cast<int>(layout.remap.size())) {
-      for (uint8_t& c : binned->codes_[static_cast<size_t>(j)]) {
-        c = layout.remap[c];
-      }
-    }
-    binned->bin_first_[static_cast<size_t>(j)] = std::move(layout.first);
-    binned->bin_last_[static_cast<size_t>(j)] = std::move(layout.last);
-    binned->bin_begin_rank_[static_cast<size_t>(j)] = std::move(layout.begins);
+    layouts.push_back(
+        AssembleColumnBins(coding->stats[static_cast<size_t>(j)]));
   }
-  binned->BuildOwnPermutation();
-  binned->RefreshViews();
+  Result<std::shared_ptr<const BinnedIndex>> binned =
+      FromRawCodes(cap, any_sketch ? BuildKind::kSketch : BuildKind::kExactPack,
+                   std::move(coding->codes), std::move(layouts));
+  if (!binned.ok()) return binned.status();
 
   StreamedDataset out;
-  out.index = binned;
+  out.index = *std::move(binned);
   out.y = std::move(y);
   out.input_fingerprint = input_hasher.Finalize();
   out.fingerprint = full_hasher.Finalize();
   return out;
+}
+
+Result<std::shared_ptr<const BinnedIndex>> BinnedIndex::FromRawCodes(
+    int max_bins, BuildKind kind, std::vector<std::vector<uint8_t>> codes,
+    std::vector<ColumnBinLayout> layouts) {
+  assert(!codes.empty() && codes.size() == layouts.size());
+  const size_t m = codes.size();
+  auto binned = std::shared_ptr<BinnedIndex>(new BinnedIndex());
+  binned->num_rows_ = static_cast<int>(codes[0].size());
+  binned->num_cols_ = static_cast<int>(m);
+  binned->max_bins_ = max_bins;
+  binned->kind_ = kind;
+  binned->num_bins_.resize(m);
+  binned->bin_first_.resize(m);
+  binned->bin_last_.resize(m);
+  binned->bin_begin_rank_.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    ColumnBinLayout& layout = layouts[j];
+    const int live = layout.live;
+    assert(static_cast<int>(layout.first.size()) == live &&
+           static_cast<int>(layout.last.size()) == live);
+    std::vector<int>& begins = binned->bin_begin_rank_[j];
+    begins.assign(static_cast<size_t>(live) + 1, 0);
+    for (uint8_t& c : codes[j]) {
+      c = layout.remap[c];
+      if (c >= live) {
+        return Status::InvalidArgument(
+            "streamed index: a layout maps a coded row past the live bins");
+      }
+      ++begins[static_cast<size_t>(c) + 1];
+    }
+    for (int b = 0; b < live; ++b) {
+      begins[static_cast<size_t>(b) + 1] += begins[static_cast<size_t>(b)];
+    }
+    binned->num_bins_[j] = live;
+    binned->bin_first_[j] = std::move(layout.first);
+    binned->bin_last_[j] = std::move(layout.last);
+  }
+  binned->codes_ = std::move(codes);
+  binned->BuildOwnPermutation();
+  binned->RefreshViews();
+  return std::shared_ptr<const BinnedIndex>(std::move(binned));
 }
 
 std::shared_ptr<const StreamedBinTotals> StreamedBinTotals::Build(

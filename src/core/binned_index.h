@@ -222,22 +222,40 @@ class StreamedCoder {
   std::vector<uint8_t> first_bin_;  // [bucket] -> first candidate bin
 };
 
+class ThreadPool;
+
+/// What pass 2 of a streamed build yields: every column's raw-bin codes
+/// and coding stats.
+struct StreamedCoding {
+  std::vector<std::vector<uint8_t>> codes;  // [column][row], raw bins
+  std::vector<BinCodingStats> stats;        // [column]
+};
+
+/// Pass 2 of a streamed build, shared by BuildStreamed and a shard worker:
+/// resets `source` and codes every row against each column's ascending bin
+/// upper bounds, block by block. A block's columns are coded concurrently
+/// when `pool` is set. Fails unless the source yields exactly `n` rows
+/// again.
+Result<StreamedCoding> CodeStream(DatasetSource* source, int block_rows,
+                                  std::vector<std::vector<double>> upper,
+                                  int64_t n, ThreadPool* pool);
+
 /// Final per-column bin layout: empty raw bins dropped, exact first/last
-/// bounds, cumulative rank offsets (size live + 1), and the raw-bin ->
-/// final-bin remap. Deterministic function of the coding stats, so shards
-/// that agree on global stats agree on the layout.
+/// bounds, and the raw-bin -> final-bin remap. Deterministic function of
+/// the coding stats, so shards that agree on global stats agree on the
+/// layout. Rank offsets are not part of it: each index counts its own from
+/// its codes (BinnedIndex::FromRawCodes).
 struct ColumnBinLayout {
   int live = 0;
   std::vector<uint8_t> remap;   // [raw bin] -> final bin (valid where count>0)
   std::vector<double> first;    // [final bin]
   std::vector<double> last;     // [final bin]
-  std::vector<int> begins;      // [final bin] cumulative ranks; size live+1
 };
 
-/// Assembles the final layout from (possibly shard-merged) coding stats over
-/// n total rows. BuildStreamed uses this per column; the shard coordinator
-/// applies it to the fleet-summed stats and gets the identical layout.
-ColumnBinLayout AssembleColumnBins(const BinCodingStats& stats, int n);
+/// Assembles the final layout from (possibly shard-merged) coding stats.
+/// BuildStreamed uses this per column; the shard coordinator applies it to
+/// the fleet-summed stats and gets the identical layout.
+ColumnBinLayout AssembleColumnBins(const BinCodingStats& stats);
 
 /// The starting aggregates of a streamed PRIM peel over (index, y): per
 /// (column, bin) the row count and the positive count, packed into one
@@ -308,12 +326,24 @@ class BinnedIndex {
   static Result<StreamedDataset> BuildStreamed(
       DatasetSource* source, const StreamedBuildOptions& options = {});
 
+  /// The assembly both BuildStreamed and a shard worker end with: remaps
+  /// each column's raw-bin codes through its layout, takes the layout's
+  /// bin edges, counts the rank offsets from the remapped codes (a shard
+  /// holds a slice of the global bins, some of them empty) and builds the
+  /// index's own permutation. Every code must index its layout's remap;
+  /// one remapped to `live` or past it is refused.
+  static Result<std::shared_ptr<const BinnedIndex>> FromRawCodes(
+      int max_bins, BuildKind kind, std::vector<std::vector<uint8_t>> codes,
+      std::vector<ColumnBinLayout> layouts);
+
   int num_rows() const { return num_rows_; }
   int num_cols() const { return num_cols_; }
   int max_bins() const { return max_bins_; }
   BuildKind kind() const { return kind_; }
 
-  /// Number of non-empty bins of column j (1 <= num_bins <= max_bins).
+  /// Number of bins of column j (1 <= num_bins <= max_bins). Only a shard
+  /// worker's index, which holds its rows in the global bins, has empty
+  /// ones.
   int num_bins(int j) const {
     assert(j >= 0 && j < num_cols_);
     return num_bins_[static_cast<size_t>(j)];

@@ -227,7 +227,7 @@ class StreamedReferenceState {
     return peel;
   }
 
-  void Apply(const Peel& peel, BoxStats* stats) {
+  void Apply(const Peel& peel) {
     for (int r = 0; r < binned_.num_rows(); ++r) {
       const int b = binned_.code(peel.dim, r);
       if (in_box_[static_cast<size_t>(r)] &&
@@ -236,8 +236,6 @@ class StreamedReferenceState {
         --n_;
       }
     }
-    stats->n -= peel.removed_n;
-    stats->n_pos -= peel.removed_pos;
   }
 
  private:

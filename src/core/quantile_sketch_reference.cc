@@ -365,8 +365,11 @@ Result<StreamedBinsReference> BuildStreamedReference(
     }
   }
   for (int j = 0; j < m; ++j) {
-    ColumnBinLayout layout =
-        AssembleColumnBins(stats[static_cast<size_t>(j)], n);
+    ColumnBinLayout layout = AssembleColumnBins(stats[static_cast<size_t>(j)]);
+    std::vector<int> begins = {0};
+    for (int count : stats[static_cast<size_t>(j)].count) {
+      if (count > 0) begins.push_back(begins.back() + count);
+    }
     std::vector<uint8_t>& codes = out.codes[static_cast<size_t>(j)];
     for (uint8_t& c : codes) c = layout.remap[c];
     std::vector<int> sorted(static_cast<size_t>(n));
@@ -375,6 +378,7 @@ Result<StreamedBinsReference> BuildStreamedReference(
       return codes[static_cast<size_t>(a)] < codes[static_cast<size_t>(b)];
     });
     out.layouts.push_back(std::move(layout));
+    out.begins.push_back(std::move(begins));
     out.sorted.push_back(std::move(sorted));
   }
   return out;

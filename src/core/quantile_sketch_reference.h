@@ -78,12 +78,14 @@ struct ColumnSketchReference {
 /// the sketch pass through ColumnSketchReference (per-block summaries of
 /// `options.block_rows` rows folded in block order; the result is the same
 /// on every thread count), one QueryRank per bin bound, StreamedCodeOf per
-/// value, the shared layout assembly (AssembleColumnBins), and the
-/// (code, row)-ordered permutation by a stable sort.
+/// value, the shared layout assembly (AssembleColumnBins), rank offsets
+/// summed from the coding stats' bin counts, and the (code, row)-ordered
+/// permutation by a stable sort.
 struct StreamedBinsReference {
   BinnedIndex::BuildKind kind = BinnedIndex::BuildKind::kExactPack;
   std::vector<std::vector<uint8_t>> codes;  // [column][row]
   std::vector<ColumnBinLayout> layouts;     // [column]
+  std::vector<std::vector<int>> begins;     // [column][bin] rank offsets
   std::vector<std::vector<int>> sorted;     // [column] rows by (code, id)
 };
 Result<StreamedBinsReference> BuildStreamedReference(

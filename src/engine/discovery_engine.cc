@@ -226,6 +226,12 @@ void Job::NotifyOnFinish(std::function<void()> fn) {
 
 namespace {
 
+// Entry bounds of the memory cache tiers (LRU eviction beyond them). The
+// index bound covers the column, binned, streamed-index and ingest tiers.
+constexpr size_t kMetamodelCacheEntries = 128;
+constexpr size_t kIndexCacheEntries = 32;
+constexpr size_t kRelabelStreamCacheEntries = 8;
+
 std::string ResolveDir(const std::string& configured, const char* env_var) {
   if (!configured.empty()) return configured;
   const char* env = std::getenv(env_var);
@@ -237,17 +243,14 @@ std::string ResolveDir(const std::string& configured, const char* env_var) {
 DiscoveryEngine::DiscoveryEngine(EngineConfig config)
     : config_(config),
       trace_dir_(ResolveDir(config.trace_dir, "REDS_TRACE_DIR")),
-      metamodels_(config.metamodel_cache_capacity, &metrics_,
-                  "cache.metamodel", "fits"),
-      column_indexes_(config.column_index_cache_capacity, &metrics_,
-                      "cache.index.column"),
-      binned_indexes_(config.binned_index_cache_capacity, &metrics_,
-                      "cache.index.binned"),
-      streamed_indexes_(config.binned_index_cache_capacity, &metrics_,
+      metamodels_(kMetamodelCacheEntries, &metrics_, "cache.metamodel",
+                  "fits"),
+      column_indexes_(kIndexCacheEntries, &metrics_, "cache.index.column"),
+      binned_indexes_(kIndexCacheEntries, &metrics_, "cache.index.binned"),
+      streamed_indexes_(kIndexCacheEntries, &metrics_,
                         "cache.index.streamed"),
-      ingested_(config.binned_index_cache_capacity, &metrics_,
-                "cache.ingest"),
-      relabel_streams_(config.relabel_stream_cache_capacity, &metrics_,
+      ingested_(kIndexCacheEntries, &metrics_, "cache.ingest"),
+      relabel_streams_(kRelabelStreamCacheEntries, &metrics_,
                        "cache.relabel"),
       pool_(config.threads, &metrics_, "engine.pool") {
   jobs_submitted_ = metrics_.counter("engine.jobs.submitted");

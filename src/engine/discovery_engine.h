@@ -44,17 +44,10 @@ struct EngineConfig {
   /// or an unnamed custom sampler are never coalesced. Counted in
   /// `engine.jobs.coalesced`.
   bool coalesce_requests = true;
-  /// Max metamodels kept resident (LRU eviction beyond it); 0 = unbounded.
-  size_t metamodel_cache_capacity = 128;
   /// Shared per-dataset ColumnIndex cache: a batch of method variants over
   /// the same inputs builds the columnar index (column copies + sorted
   /// permutations) once. Keyed by the input-only fingerprint.
   bool cache_column_indexes = true;
-  size_t column_index_cache_capacity = 32;  // LRU bound; 0 = unbounded
-  /// Shared per-dataset BinnedIndex cache (the quantized data plane):
-  /// PRIM peeling over the same inputs quantizes once. Keyed by the same
-  /// input-only fingerprint.
-  size_t binned_index_cache_capacity = 32;  // LRU bound; 0 = unbounded
   /// Shared relabel-stream cache: the finished product of a streamed REDS
   /// relabeling (quantized index + O(L) labels), keyed by everything that
   /// shapes it (training bytes, metamodel recipe, seed, stream length,
@@ -62,7 +55,6 @@ struct EngineConfig {
   /// zero labeling passes and zero code rebuilds; entries persist to the
   /// disk tier when it is active, so a warm engine process skips them too.
   bool cache_relabel_streams = true;
-  size_t relabel_stream_cache_capacity = 8;  // LRU bound; 0 = unbounded
   /// Root seed for the canonical metamodel fits. The engine re-seeds each
   /// metamodel from (this seed, cache key) instead of the per-request seed,
   /// so results are bit-identical whether a request hits or misses the

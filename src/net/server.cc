@@ -19,6 +19,11 @@ namespace reds::net {
 
 namespace {
 
+// Entries of the server-side LRU of materialized eager datasets, keyed by
+// the SourceSpec's bytes. One materialization per distinct spec is what
+// lets identical eager submits from different connections coalesce.
+constexpr size_t kDatasetCacheEntries = 16;
+
 uint64_t NsSince(std::chrono::steady_clock::time_point t0) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -105,7 +110,7 @@ DiscoveryServer::DiscoveryServer(engine::DiscoveryEngine* engine,
     : engine_(engine),
       config_(std::move(config)),
       events_(std::make_shared<EventQueue>()),
-      datasets_(config_.dataset_cache_capacity),
+      datasets_(kDatasetCacheEntries),
       result_cache_(std::make_shared<ResultCache>(config_.result_cache_entries)),
       decode_pool_(std::max(1, config_.decode_threads), &engine_->metrics(),
                    "net.decode") {

@@ -73,11 +73,6 @@ struct ServerConfig {
   /// Per-frame payload cap enforced by the decoder against hostile peers.
   size_t max_frame_bytes = 8u << 20;
 
-  /// Server-side LRU of materialized eager datasets, keyed by the
-  /// SourceSpec's bytes. One materialization per distinct spec is what
-  /// lets identical eager submits from different connections coalesce.
-  size_t dataset_cache_capacity = 16;
-
   /// Upper bound on rows * dims an eager request may materialize.
   int64_t max_eager_cells = 50'000'000;
 

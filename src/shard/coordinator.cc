@@ -1,8 +1,6 @@
 #include "shard/coordinator.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -133,183 +131,141 @@ Status ShardCoordinator::BuildGlobalBins() {
   bins_.num_cols = m;
   bins_.kind = any_sketch ? BinnedIndex::BuildKind::kSketch
                           : BinnedIndex::BuildKind::kExactPack;
-  bins_.num_bins.assign(static_cast<size_t>(m), 0);
-  bins_.bin_first.assign(static_cast<size_t>(m), {});
-  bins_.bin_last.assign(static_cast<size_t>(m), {});
+  bins_.columns.clear();
   util::ByteWriter layout_msg;
-  for (int j = 0; j < m; ++j) {
-    ColumnBinLayout layout =
-        AssembleColumnBins(stats[static_cast<size_t>(j)], n);
+  for (const BinCodingStats& column_stats : stats) {
+    ColumnBinLayout layout = AssembleColumnBins(column_stats);
     layout_msg.I32(layout.live);
     layout_msg.VecU8(layout.remap);
-    bins_.num_bins[static_cast<size_t>(j)] = layout.live;
-    bins_.bin_first[static_cast<size_t>(j)] = std::move(layout.first);
-    bins_.bin_last[static_cast<size_t>(j)] = std::move(layout.last);
+    layout_msg.VecF64(layout.first);
+    layout_msg.VecF64(layout.last);
+    bins_.columns.push_back(std::move(layout));
   }
   s = Broadcast(static_cast<uint8_t>(MsgType::kLayout), layout_msg.data());
   if (!s.ok()) return s;
   return Gather(static_cast<uint8_t>(MsgType::kLayoutAck), &replies);
 }
 
-Status ShardCoordinator::RefreshAggregates(
-    const std::vector<std::string>& payloads) {
-  const int m = bins_.num_cols;
-  box_n_ = 0;
-  bin_count_.assign(static_cast<size_t>(m), {});
-  bin_pos_.assign(static_cast<size_t>(m), {});
-  for (int j = 0; j < m; ++j) {
-    bin_count_[static_cast<size_t>(j)].assign(
-        static_cast<size_t>(bins_.num_bins[static_cast<size_t>(j)]), 0);
-    bin_pos_[static_cast<size_t>(j)].assign(
-        static_cast<size_t>(bins_.num_bins[static_cast<size_t>(j)]), 0.0);
-  }
-  for (const std::string& payload : payloads) {
-    util::ByteReader in(payload);
-    box_n_ += static_cast<int64_t>(in.U64());
-    for (int j = 0; j < m; ++j) {
-      const std::vector<int> count = in.VecI32();
-      const std::vector<double> pos = in.VecF64();
-      if (!in.ok() ||
-          count.size() != bin_count_[static_cast<size_t>(j)].size() ||
-          pos.size() != count.size()) {
-        return Status::InvalidArgument(
-            "shard coordinator: bad aggregate reply");
-      }
-      for (size_t b = 0; b < count.size(); ++b) {
-        bin_count_[static_cast<size_t>(j)][b] += count[b];
-        bin_pos_[static_cast<size_t>(j)][b] += pos[b];
-      }
+// The fleet peel state RunPeelingPhase drives: the in-box StreamedBinTotals
+// cells of the whole fleet, summed over the workers' replies. Candidates
+// come from the shared FindPeel over those cells and the global bin edges
+// (the search is a pure function of them, so no communication happens
+// until a peel is applied); the coordinator sees no row, so it never
+// refines and needs integral labels. Apply is one broadcast + gather
+// round: every worker applies the peel to its shard with core PeelState
+// and replies with its updated cells, which re-sum exactly.
+class FleetPeelState {
+ public:
+  static constexpr bool kSeesRows = false;
+
+  explicit FleetPeelState(ShardCoordinator* coord)
+      : columns_(coord->bins_.columns), coord_(coord), offset_(1, 0) {
+    for (const ColumnBinLayout& c : columns_) {
+      offset_.push_back(offset_.back() + c.live);
     }
   }
-  return Status::OK();
-}
 
-// The fleet peel state RunPeelingPhase drives. MakeCandidate makes
-// RunPrimStreamed's integral-label candidate decisions, evaluated on the
-// globally-summed aggregates (the candidate is a pure function of them, so
-// no communication happens until a peel is applied). Apply is one
-// broadcast + gather round: workers remove the peeled rows from their
-// partition and reply with full updated local aggregates, which re-sum
-// exactly (integer counts; {0,1} label masses).
-struct FleetPeelState {
-  ShardCoordinator* coord;
-  Status error = Status::OK();
+  // Sums the workers' cell replies. Every column of the sum must hold
+  // exactly `rows` in-box rows and `positives` positives (-1: the same
+  // count in every column, whatever it is), in cells none of which is
+  // negative; otherwise the fleet drifted from the peel accounting.
+  Status Sum(const std::vector<std::string>& payloads, int64_t rows,
+             int64_t positives) {
+    // Unsigned sums wrap instead of overflowing on a corrupt reply; the
+    // checks below refuse whatever they produce.
+    std::vector<uint64_t> sum(static_cast<size_t>(offset_.back()), 0);
+    for (const std::string& payload : payloads) {
+      util::ByteReader in(payload);
+      const std::vector<int64_t> cells = in.VecI64();
+      if (!in.ok() || !in.AtEnd() || cells.size() != sum.size()) {
+        return Status::InvalidArgument("shard coordinator: bad cells reply");
+      }
+      for (size_t c = 0; c < sum.size(); ++c) {
+        sum[c] += static_cast<uint64_t>(cells[c]);
+      }
+    }
+    for (size_t j = 0; j + 1 < offset_.size(); ++j) {
+      bool negative = false;
+      int64_t col_rows = 0, col_pos = 0;
+      for (int c = offset_[j]; c < offset_[j + 1]; ++c) {
+        const int64_t cell = static_cast<int64_t>(sum[static_cast<size_t>(c)]);
+        negative = negative || cell < 0 || StreamedBinTotals::Rows(cell) < 0;
+        col_rows += StreamedBinTotals::Rows(cell);
+        col_pos += StreamedBinTotals::Positives(cell);
+      }
+      if (positives < 0) positives = col_pos;
+      if (negative || col_rows != rows || col_pos != positives) {
+        return Status::InvalidArgument(
+            "shard coordinator: fleet cells drifted from the peel accounting");
+      }
+    }
+    cells_.assign(sum.begin(), sum.end());
+    rows_ = static_cast<int>(rows);
+    positives_ = positives;
+    return Status::OK();
+  }
 
-  int n() const { return static_cast<int>(coord->box_n_); }
+  int64_t positives() const { return positives_; }
 
   Peel MakeCandidate(int dim, bool low_side, double alpha,
                      const BoxStats& in_stats) const {
-    Peel peel;
-    const int n_box = n();
-    const int k =
-        std::max(1, static_cast<int>(std::floor(alpha * n_box)));
-    if (k >= n_box) return peel;
-
-    const GlobalBins& bins = coord->bins_;
-    double removed_n = 0.0;
-    double removed_pos = 0.0;
-    int b;
-    if (low_side) {
-      b = BinAtInBoxRank(dim, k);
-      int p;
-      double pos_below;
-      PrefixBelow(dim, b, &p, &pos_below);
-      if (p == 0) {
-        const int q =
-            p + coord->bin_count_[static_cast<size_t>(dim)]
-                               [static_cast<size_t>(b)];
-        if (q >= n_box) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, q);
-        PrefixBelow(dim, b, &p, &pos_below);
-      }
-      removed_n = p;
-      removed_pos = pos_below;
-      peel.bound = bins.bin_first[static_cast<size_t>(dim)]
-                                 [static_cast<size_t>(b)];
-    } else {
-      b = BinAtInBoxRank(dim, n_box - 1 - k);
-      int q;
-      double pos_through;
-      PrefixThrough(dim, b, &q, &pos_through);
-      if (q >= n_box) {
-        int p;
-        double ignored;
-        PrefixBelow(dim, b, &p, &ignored);
-        if (p == 0) return peel;  // dimension is constant in box
-        b = BinAtInBoxRank(dim, p - 1);
-        PrefixThrough(dim, b, &q, &pos_through);
-      }
-      removed_n = n_box - q;
-      removed_pos = in_stats.n_pos - pos_through;
-      peel.bound = bins.bin_last[static_cast<size_t>(dim)]
-                                [static_cast<size_t>(b)];
-    }
-    if (removed_n >= n_box) return peel;
-
-    peel.dim = dim;
-    peel.low_side = low_side;
-    peel.bin = b;
-    peel.removed_n = removed_n;
-    peel.removed_pos = removed_pos;
-    peel.precision_after =
-        (in_stats.n_pos - removed_pos) / (in_stats.n - removed_n);
-    return peel;
+    return FindPeel(*this, dim, low_side, alpha, in_stats);
   }
 
-  void Apply(const Peel& peel, BoxStats* stats) {
+  void Apply(const Peel& peel) {
     util::ByteWriter msg;
     msg.I32(peel.dim);
     msg.U8(peel.low_side ? 1 : 0);
     msg.I32(peel.bin);
-    Status s = coord->Broadcast(static_cast<uint8_t>(MsgType::kPeel),
-                                msg.data());
+    Status s = coord_->Broadcast(static_cast<uint8_t>(MsgType::kPeel),
+                                 msg.data());
     std::vector<std::string> replies;
     if (s.ok()) {
-      s = coord->Gather(static_cast<uint8_t>(MsgType::kPeelReply), &replies);
+      s = coord_->Gather(static_cast<uint8_t>(MsgType::kPeelReply), &replies);
     }
-    if (s.ok()) s = coord->RefreshAggregates(replies);
+    if (s.ok()) {
+      s = Sum(replies, rows_ - static_cast<int64_t>(peel.removed_n),
+              positives_ - static_cast<int64_t>(peel.removed_pos));
+    }
     if (!s.ok()) {
-      // Transport failure mid-peel: zero the state so the loop's next
-      // candidate pass finds nothing and exits; RunPrim reports `error`.
+      // Failed round: empty the box so the loop's next candidate pass
+      // finds nothing and exits; RunPrim reports `error`.
       error = s;
-      coord->box_n_ = 0;
-      return;
+      rows_ = 0;
     }
-    stats->n -= peel.removed_n;
-    stats->n_pos -= peel.removed_pos;
-    assert(coord->box_n_ == static_cast<int64_t>(stats->n) &&
-           "fleet aggregates drifted from the peel accounting");
   }
+
+  // Bin accessors of FindPeel.
+  int InBoxRows() const { return rows_; }
+  const int64_t* Cells(int dim) const {
+    return cells_.data() + offset_[static_cast<size_t>(dim)];
+  }
+  int FirstBin(int dim) const {
+    const int64_t* cells = Cells(dim);
+    int b = 0;
+    while (StreamedBinTotals::Rows(cells[b]) == 0) ++b;
+    return b;
+  }
+  int LastBin(int dim) const {
+    const int64_t* cells = Cells(dim);
+    int b = columns_[static_cast<size_t>(dim)].live - 1;
+    while (StreamedBinTotals::Rows(cells[b]) == 0) --b;
+    return b;
+  }
+  double Edge(int dim, int b, bool low_side) const {
+    const ColumnBinLayout& c = columns_[static_cast<size_t>(dim)];
+    return (low_side ? c.first : c.last)[static_cast<size_t>(b)];
+  }
+
+  Status error = Status::OK();
 
  private:
-  int BinAtInBoxRank(int dim, int rank) const {
-    const std::vector<int>& counts =
-        coord->bin_count_[static_cast<size_t>(dim)];
-    int cum = 0;
-    for (size_t b = 0; b < counts.size(); ++b) {
-      cum += counts[b];
-      if (cum > rank) return static_cast<int>(b);
-    }
-    assert(false && "in-box rank out of range");
-    return static_cast<int>(counts.size()) - 1;
-  }
-
-  void PrefixBelow(int dim, int b, int* count, double* pos) const {
-    const std::vector<int>& counts =
-        coord->bin_count_[static_cast<size_t>(dim)];
-    const std::vector<double>& pos_sums =
-        coord->bin_pos_[static_cast<size_t>(dim)];
-    *count = 0;
-    *pos = 0.0;
-    for (int i = 0; i < b; ++i) {
-      *count += counts[static_cast<size_t>(i)];
-      *pos += pos_sums[static_cast<size_t>(i)];
-    }
-  }
-
-  void PrefixThrough(int dim, int b, int* count, double* pos) const {
-    PrefixBelow(dim, b + 1, count, pos);
-  }
+  const std::vector<ColumnBinLayout>& columns_;  // the global bins
+  ShardCoordinator* coord_;
+  std::vector<int> offset_;     // [dim] first cell of dim; size dims + 1
+  std::vector<int64_t> cells_;  // fleet-summed in-box cells
+  int rows_ = 0;                // in-box rows
+  int64_t positives_ = 0;       // in-box positives
 };
 
 Result<PrimResult> ShardCoordinator::RunPrim(const PrimConfig& config) {
@@ -323,34 +279,23 @@ Result<PrimResult> ShardCoordinator::RunPrim(const PrimConfig& config) {
   s = Gather(static_cast<uint8_t>(MsgType::kPeelInitReply), &replies);
   if (!s.ok()) return s;
 
-  // Workers prepend an integral-labels flag to the init aggregates; the
-  // distributed candidate math is exact only for {0,1} labels.
-  std::vector<std::string> aggregates;
-  aggregates.reserve(replies.size());
-  for (const std::string& reply : replies) {
-    if (reply.empty()) {
-      return Status::InvalidArgument("shard coordinator: empty peel init");
-    }
-    if (reply[0] == 0) {
+  // Workers prepend an integral-labels flag to their init cells: the
+  // cells count positives only for {0,1} labels.
+  for (std::string& reply : replies) {
+    if (!reply.empty() && reply[0] == 0) {
       return Status::InvalidArgument(
           "sharded PRIM requires integral {0,1} labels");
     }
-    aggregates.push_back(reply.substr(1));
+    reply.erase(0, 1);  // an empty reply fails the parse in Sum
   }
-  s = RefreshAggregates(aggregates);
+  FleetPeelState state(this);
+  s = state.Sum(replies, bins_.num_rows, /*positives=*/-1);
   if (!s.ok()) return s;
-  if (box_n_ != bins_.num_rows) {
-    return Status::InvalidArgument(
-        "shard coordinator: init aggregates disagree with the row count");
-  }
 
-  double total_pos = 0.0;
-  for (double p : bin_pos_[0]) total_pos += p;
-
-  FleetPeelState state{this};
-  PrimResult result =
-      RunPeelingPhase(bins_.num_cols, static_cast<double>(bins_.num_rows),
-                      total_pos, /*val=*/nullptr, config, &state);
+  PrimResult result = RunPeelingPhase(
+      bins_.num_cols, static_cast<double>(bins_.num_rows),
+      static_cast<double>(state.positives()), /*val=*/nullptr, config,
+      &state);
   if (!state.error.ok()) return state.error;
   return result;
 }

@@ -28,14 +28,16 @@ enum class MsgType : uint8_t {
   kSketchReply = 2,     // <- worker: per-column ColumnSketch summaries
   kBins = 3,            // -> worker: global per-column bin upper bounds
   kCodingReply = 4,     // <- worker: per-column BinCodingStats
-  kLayout = 5,          // -> worker: final per-column bin layout (remap)
-  kLayoutAck = 6,       // <- worker: local permutation built
+  kLayout = 5,          // -> worker: per column live, remap, bin edges
+  kLayoutAck = 6,       // <- worker: shard BinnedIndex assembled
 
-  // PRIM rounds.
-  kPeelInit = 7,        // -> worker: build the local peel state
-  kPeelInitReply = 8,   // <- worker: initial local per-bin aggregates
+  // PRIM rounds. "Cells" are the shard's in-box StreamedBinTotals cells
+  // (rows low, positives high), every column's bins in turn, as one
+  // length-prefixed int64 vector.
+  kPeelInit = 7,        // -> worker: build the shard's PeelState
+  kPeelInitReply = 8,   // <- worker: integral-labels flag byte + cells
   kPeel = 9,            // -> worker: apply (dim, side, boundary bin)
-  kPeelReply = 10,      // <- worker: full updated local aggregates
+  kPeelReply = 10,      // <- worker: cells after the peel
 
   // Values 11-19 stay unassigned: older peers sent them (tree-fit and
   // tuning rounds), so a worker refuses them as unexpected rather than

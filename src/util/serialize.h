@@ -50,6 +50,11 @@ class ByteWriter {
     for (uint8_t x : v) U8(x);
   }
 
+  void VecI64(const std::vector<int64_t>& v) {
+    U64(v.size());
+    for (int64_t x : v) U64(static_cast<uint64_t>(x));
+  }
+
   void Str(const std::string& s) {
     U64(s.size());
     buf_.append(s);
@@ -103,6 +108,9 @@ class ByteReader {
   std::vector<double> VecF64() { return Vec<double>(8, [this] { return F64(); }); }
   std::vector<int> VecI32() { return Vec<int>(4, [this] { return I32(); }); }
   std::vector<uint8_t> VecU8() { return Vec<uint8_t>(1, [this] { return U8(); }); }
+  std::vector<int64_t> VecI64() {
+    return Vec<int64_t>(8, [this] { return static_cast<int64_t>(U64()); });
+  }
 
   std::string Str() {
     const uint64_t n = U64();

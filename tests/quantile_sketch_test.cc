@@ -597,7 +597,8 @@ TEST(StreamedCoderTest, SketchRegimeBuildMatchesReferenceBuild) {
           }
           for (int b = 0; b <= layout.live; ++b) {
             EXPECT_EQ(index.bin_begin_rank(j, b),
-                      layout.begins[static_cast<size_t>(b)]);
+                      ref->begins[static_cast<size_t>(j)]
+                                 [static_cast<size_t>(b)]);
           }
         }
       }

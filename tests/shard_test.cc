@@ -107,13 +107,14 @@ void ExpectBinsMatch(const GlobalBins& bins, const BinnedIndex& reference) {
   EXPECT_EQ(bins.num_rows, reference.num_rows());
   EXPECT_EQ(bins.num_cols, reference.num_cols());
   EXPECT_EQ(bins.kind, reference.kind());
+  ASSERT_EQ(bins.columns.size(), static_cast<size_t>(bins.num_cols));
   for (int j = 0; j < bins.num_cols; ++j) {
-    ASSERT_EQ(bins.num_bins[static_cast<size_t>(j)], reference.num_bins(j))
-        << "col " << j;
-    for (int b = 0; b < bins.num_bins[static_cast<size_t>(j)]; ++b) {
-      EXPECT_EQ(bins.bin_first[static_cast<size_t>(j)][static_cast<size_t>(b)],
+    const ColumnBinLayout& column = bins.columns[static_cast<size_t>(j)];
+    ASSERT_EQ(column.live, reference.num_bins(j)) << "col " << j;
+    for (int b = 0; b < column.live; ++b) {
+      EXPECT_EQ(column.first[static_cast<size_t>(b)],
                 reference.bin_first(j, b));
-      EXPECT_EQ(bins.bin_last[static_cast<size_t>(j)][static_cast<size_t>(b)],
+      EXPECT_EQ(column.last[static_cast<size_t>(b)],
                 reference.bin_last(j, b));
     }
   }
@@ -231,12 +232,22 @@ class ScriptedWorker {
     return Request(MsgType::kBins, bins.data(), MsgType::kCodingReply);
   }
 
-  // kLayout with the same (live, remap) for every column.
-  Status Layout(int live, const std::vector<uint8_t>& remap) {
+  // kLayout with the same (live, remap) for every column, and bin_first /
+  // bin_last vectors of `first_edges` / `last_edges` entries (-1: live, the
+  // well-formed length).
+  Status Layout(int live, const std::vector<uint8_t>& remap,
+                int first_edges = -1, int last_edges = -1) {
+    const auto edge_vector = [live](int size) {
+      std::vector<double> v(static_cast<size_t>(size < 0 ? live : size));
+      for (size_t b = 0; b < v.size(); ++b) v[b] = static_cast<double>(b);
+      return v;
+    };
     util::ByteWriter layout;
     for (int j = 0; j < TestSpec().dims; ++j) {
       layout.I32(live);
       layout.VecU8(remap);
+      layout.VecF64(edge_vector(first_edges));
+      layout.VecF64(edge_vector(last_edges));
     }
     return Request(MsgType::kLayout, layout.data(), MsgType::kLayoutAck);
   }
@@ -280,6 +291,8 @@ TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
     std::vector<double> bounds;
     int live;
     std::vector<uint8_t> remap;
+    int first_edges = -1;  // bin_first entries; -1: live
+    int last_edges = -1;   // bin_last entries; -1: live
   };
   // Well-formed sequences are served, and peels run after init. A globally
   // empty raw bin after the last live one maps to `live` itself, as
@@ -293,7 +306,8 @@ TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
     ScriptedWorker worker;
     ASSERT_TRUE(worker.Sketch().ok());
     ASSERT_TRUE(worker.Bins(ok.bounds).ok());
-    ASSERT_TRUE(worker.Layout(ok.live, ok.remap).ok());
+    ASSERT_TRUE(
+        worker.Layout(ok.live, ok.remap, ok.first_edges, ok.last_edges).ok());
     ASSERT_TRUE(worker
                     .Request(MsgType::kPeelInit, std::string(),
                              MsgType::kPeelInitReply)
@@ -302,7 +316,8 @@ TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
     EXPECT_EQ(worker.Finish().code(), Status::Code::kIoError);  // EOF
   }
 
-  // Layouts that would index past the remap table or the live bins.
+  // Layouts that would index past the remap table, the live bins or the
+  // bin edges.
   const std::vector<LayoutCase> bad_layouts = {
       {"remap shorter than the raw bins", kFourBounds, 2, {0, 1}},
       {"remap longer than the raw bins", kFourBounds, 4, {0, 1, 2, 3, 3}},
@@ -310,13 +325,18 @@ TEST(ShardWireTest, WorkerRejectsMalformedLayoutAndOutOfOrderRequests) {
       {"empty raw bin remapped past live", kFiveBounds, 4, {0, 1, 2, 3, 5}},
       {"coded raw bin remapped to live", kFourBounds, 3, {0, 1, 3, 2}},
       {"more live bins than raw bins", kFourBounds, 6, {0, 1, 2, 3}},
+      {"bin_first shorter than live", kFourBounds, 4, {0, 1, 2, 3}, 3, 4},
+      {"bin_first longer than live", kFourBounds, 4, {0, 1, 2, 3}, 5, 4},
+      {"bin_last shorter than live", kFourBounds, 4, {0, 1, 2, 3}, 4, 3},
+      {"bin_last longer than live", kFourBounds, 4, {0, 1, 2, 3}, 4, 5},
   };
   for (const LayoutCase& bad : bad_layouts) {
     SCOPED_TRACE(bad.what);
     ScriptedWorker worker;
     ASSERT_TRUE(worker.Sketch().ok());
     ASSERT_TRUE(worker.Bins(bad.bounds).ok());
-    const Status reply = worker.Layout(bad.live, bad.remap);
+    const Status reply =
+        worker.Layout(bad.live, bad.remap, bad.first_edges, bad.last_edges);
     EXPECT_EQ(reply.code(), Status::Code::kInvalidArgument)
         << reply.ToString();
     const Status served = worker.Finish();
@@ -403,18 +423,23 @@ TEST(ShardWireTest, WorkerRefusesRetiredMessageTypes) {
 
 TEST(ShardFleetTest, CoordinatorRejectsShortReplyVectors) {
   // A scripted fake worker answers the rounds truthfully for four rows of
-  // one column, except for one per-bin vector one entry short: the coding
-  // stats' vmin or vmax (binning fails) or the peel-init aggregates'
-  // positive mass (PRIM fails). Either way the coordinator returns
-  // InvalidArgument instead of reading past the vector.
-  enum class Short { kVmin, kVmax, kPos };
-  for (const Short which : {Short::kVmin, Short::kVmax, Short::kPos}) {
-    SCOPED_TRACE(which == Short::kVmin   ? "short vmin"
-                 : which == Short::kVmax ? "short vmax"
-                                         : "short pos");
+  // one column, except for one flaw: a per-bin vector one entry short --
+  // the coding stats' vmin or vmax (binning fails) or the peel-init cells
+  // (PRIM fails) -- or a kPeel answered with the unchanged init cells, as
+  // if the peel removed no row (PRIM fails on the first peel). Each way the
+  // coordinator returns InvalidArgument instead of reading past the vector
+  // or peeling on drifted cells.
+  enum class Flaw { kShortVmin, kShortVmax, kShortCells, kStalePeel };
+  for (const Flaw flaw : {Flaw::kShortVmin, Flaw::kShortVmax,
+                          Flaw::kShortCells, Flaw::kStalePeel}) {
+    SCOPED_TRACE(flaw == Flaw::kShortVmin    ? "short vmin"
+                 : flaw == Flaw::kShortVmax  ? "short vmax"
+                 : flaw == Flaw::kShortCells ? "short cells"
+                                             : "stale peel reply");
     int sv[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
     const std::vector<double> values = {0.0, 1.0, 2.0, 3.0};
+    const std::vector<double> labels = {0.0, 1.0, 1.0, 0.0};
     std::thread fake([&] {
       for (;;) {
         Result<Frame> frame = ReadFrame(sv[1]);
@@ -435,37 +460,49 @@ TEST(ShardFleetTest, CoordinatorRejectsShortReplyVectors) {
           BinCodingStats stats;
           stats.Reset(upper.size());
           for (double v : values) stats.Observe(StreamedCodeOf(upper, v), v);
-          if (which == Short::kVmin) stats.vmin.pop_back();
-          if (which == Short::kVmax) stats.vmax.pop_back();
+          if (flaw == Flaw::kShortVmin) stats.vmin.pop_back();
+          if (flaw == Flaw::kShortVmax) stats.vmax.pop_back();
           out.U64(values.size());
           out.VecI32(stats.count);
           out.VecF64(stats.vmin);
           out.VecF64(stats.vmax);
           reply = MsgType::kCodingReply;
-        } else if (frame->type == MsgType::kPeelInit) {
-          out.U8(1);  // integral labels
-          out.U64(values.size());
-          out.VecI32(std::vector<int>(values.size(), 1));
-          out.VecF64(std::vector<double>(values.size() - 1, 0.0));
-          reply = MsgType::kPeelInitReply;
+        } else if (frame->type == MsgType::kPeelInit ||
+                   frame->type == MsgType::kPeel) {
+          // One row per bin, packed as StreamedBinTotals cells.
+          std::vector<int64_t> cells;
+          for (double y : labels) {
+            cells.push_back(1 + (static_cast<int64_t>(y)
+                                 << StreamedBinTotals::kPosShift));
+          }
+          if (flaw == Flaw::kShortCells) cells.pop_back();
+          if (frame->type == MsgType::kPeelInit) {
+            out.U8(1);  // integral labels
+            reply = MsgType::kPeelInitReply;
+          } else {
+            reply = MsgType::kPeelReply;
+          }
+          out.VecI64(cells);
         }
         if (!WriteFrame(sv[1], reply, out).ok()) return;
       }
     });
     ShardCoordinator coordinator({sv[0]});
     const Status built = coordinator.BuildGlobalBins();
+    PrimConfig config;
+    config.min_points = 2;  // four rows: peel at least once
     const Status prim =
-        built.ok() ? coordinator.RunPrim(PrimConfig{}).status() : built;
+        built.ok() ? coordinator.RunPrim(config).status() : built;
     EXPECT_TRUE(coordinator.Shutdown().ok());
     fake.join();
     ::close(sv[0]);
     ::close(sv[1]);
-    if (which != Short::kPos) {
+    if (flaw == Flaw::kShortVmin || flaw == Flaw::kShortVmax) {
       EXPECT_EQ(built.code(), Status::Code::kInvalidArgument)
           << built.ToString();
     } else {
       ASSERT_TRUE(built.ok()) << built.ToString();
-      EXPECT_EQ(coordinator.bins().num_bins[0], 4);
+      EXPECT_EQ(coordinator.bins().columns[0].live, 4);
       EXPECT_EQ(prim.code(), Status::Code::kInvalidArgument)
           << prim.ToString();
     }
@@ -730,25 +767,82 @@ TEST(ShardFleetTest, ColumnSketchSerializationRoundTrips) {
 }
 
 TEST(ShardFleetTest, PrimBitIdenticalToSingleProcess) {
-  const SourceSpec spec = TestSpec();
-  const StreamedDataset reference =
-      SingleProcessBuild(spec, BuildOptions(spec));
-  PrimConfig config;
-  config.alpha = 0.05;
-  config.min_points = 20;
-  const PrimResult expected =
-      RunPrimStreamed(*reference.index, reference.y, config);
+  // The 16-distinct stream and a 3-distinct one, whose early peels all
+  // move past a tied block on both sides, each at two alphas; and a
+  // two-block stream, which leaves the third worker of a 3-worker fleet
+  // idle with zero rows.
+  struct Case {
+    const char* what;
+    int distinct;
+    int64_t rows;
+    double alpha;
+  };
+  const std::vector<Case> cases = {
+      {"16 distinct, alpha 0.05", 16, 20000, 0.05},
+      {"16 distinct, alpha 0.2", 16, 20000, 0.2},
+      {"3 distinct, alpha 0.05", 3, 20000, 0.05},
+      {"3 distinct, alpha 0.2", 3, 20000, 0.2},
+      {"two blocks", 16, 1000, 0.05},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    SourceSpec spec = TestSpec();
+    spec.distinct = c.distinct;
+    spec.rows = c.rows;
+    const StreamedDataset reference =
+        SingleProcessBuild(spec, BuildOptions(spec));
+    PrimConfig config;
+    config.alpha = c.alpha;
+    config.min_points = 20;
+    const PrimResult expected =
+        RunPrimStreamed(*reference.index, reference.y, config);
+    ASSERT_GT(expected.boxes.size(), 2u);
 
-  for (int workers : {1, 2, 3}) {
-    Fleet fleet(spec, workers);
+    for (int workers : {1, 2, 3}) {
+      SCOPED_TRACE(workers);
+      Fleet fleet(spec, workers);
+      ShardCoordinator coordinator(fleet.coordinator_fds(),
+                                   BuildOptions(spec));
+      ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
+      Result<PrimResult> got = coordinator.RunPrim(config);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectPrimMatch(*got, expected);
+      EXPECT_TRUE(coordinator.Shutdown().ok());
+    }
+  }
+}
+
+// Only workers see labels. A shard holding a 0.5 label reports
+// StreamedBinTotals::integral_labels false, and the coordinator refuses to
+// peel: its candidates read removed positives from the cells, which count
+// only {0,1} labels. Every worker still leaves cleanly on Shutdown.
+TEST(ShardFleetTest, FleetRefusesFractionalLabels) {
+  const std::string path =
+      ::testing::TempDir() + "reds_shard_fractional_test.csv";
+  {
+    std::ofstream out(path);
+    out << "a,b,y\n";
+    Rng rng(3);
+    for (int r = 0; r < 400; ++r) {
+      out << rng.Uniform() << ',' << rng.Uniform() << ','
+          << (r == 250 ? "0.5" : rng.Bernoulli(0.3) ? "1" : "0") << '\n';
+    }
+  }
+  SourceSpec spec;
+  spec.kind = SourceSpec::Kind::kCsv;
+  spec.block_rows = 64;
+  spec.path = path;
+  {
+    Fleet fleet(spec, 2);  // its destructor expects every worker to exit OK
     ShardCoordinator coordinator(fleet.coordinator_fds(), BuildOptions(spec));
     ASSERT_TRUE(coordinator.BuildGlobalBins().ok());
-    Result<PrimResult> got = coordinator.RunPrim(config);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    SCOPED_TRACE(workers);
-    ExpectPrimMatch(*got, expected);
+    const Result<PrimResult> got = coordinator.RunPrim(PrimConfig{});
+    EXPECT_EQ(got.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_EQ(got.status().message(),
+              "sharded PRIM requires integral {0,1} labels");
     EXPECT_TRUE(coordinator.Shutdown().ok());
   }
+  std::filesystem::remove(path);
 }
 
 // Sketch regime: more distinct values than max_bins, and column a has a
